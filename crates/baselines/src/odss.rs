@@ -785,7 +785,7 @@ impl PssBackend for OdssUnderDpss {
         }
     }
 
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
         let (rng, mat) = ctx.state(self.instance, DssMat::default);
         let rebuild = match &mat.built {
             None => true,
@@ -802,10 +802,9 @@ impl PssBackend for OdssUnderDpss {
         }
         let built = mat.built.as_mut().expect("materialized above");
         let sampled = built.inner.query_with(rng);
-        sampled
-            .into_iter()
-            .map(|h| Handle::from_raw(built.dss_to_store[h as usize] as u64))
-            .collect()
+        out.extend(
+            sampled.into_iter().map(|h| Handle::from_raw(built.dss_to_store[h as usize] as u64)),
+        );
     }
 
     fn len(&self) -> usize {

@@ -9,8 +9,9 @@
 //! - [`DeamortizedDpss`] — worst-case O(1) structure work per update.
 //!
 //! Queries go through the shared-read surface (`&self` + [`QueryCtx`]):
-//! the trait's `query`/`query_many` delegate to
-//! [`DpssSampler::query_in`] / [`DeamortizedDpss::query_in`], so one shared
+//! the trait's `query_into` runs the same planned query path as
+//! [`DpssSampler::query_in`] / [`DeamortizedDpss::query_in`], appending
+//! straight into the caller's buffer, so one shared
 //! sampler can serve many contexts — including `pss_core::ShardedQuery`'s
 //! thread-per-chunk workers.
 //!
@@ -40,11 +41,8 @@ impl PssBackend for DpssSampler {
         DpssSampler::delete(self, ItemId::from_raw(handle.raw())).is_some()
     }
 
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
-        DpssSampler::query_in(self, ctx, alpha, beta)
-            .into_iter()
-            .map(|id| Handle::from_raw(id.raw()))
-            .collect()
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
+        self.query_mapped(ctx, alpha, beta, out, |id| Handle::from_raw(id.raw()));
     }
 
     // `query_many` deliberately uses the trait's default batch-stream loop:
@@ -103,11 +101,8 @@ impl PssBackend for DeamortizedDpss {
         DeamortizedDpss::delete(self, handle.raw()).is_some()
     }
 
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
-        DeamortizedDpss::query_in(self, ctx, alpha, beta)
-            .into_iter()
-            .map(Handle::from_raw)
-            .collect()
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
+        self.query_mapped(ctx, alpha, beta, out, Handle::from_raw);
     }
 
     // `query_many` uses the trait's default batch-stream loop. The per-query

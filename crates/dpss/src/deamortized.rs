@@ -30,13 +30,14 @@
 //! During a migration epoch items live in either the old or the new sampler.
 //! Queries stay exact because the PSS probability only depends on the *global*
 //! `W = α·(Σw_old + Σw_new) + β`: both halves are queried with the shared `W`
-//! via [`DpssSampler::query_with_total_in`], and the union of two independent
-//! per-item Bernoulli processes over a partition of `S` is exactly the PSS
-//! process over `S`.
+//! (and one set of word-sized accelerators built from it), and the union of
+//! two independent per-item Bernoulli processes over a partition of `S` is
+//! exactly the PSS process over `S`.
 
 // pss-lint: allow-file(no-bare-index) — slot and roster indices are generation-checked handles into self-managed arrays; a bad index is a broken epoch invariant, caught by the suite
 
 use crate::item::ItemId;
+use crate::query::QueryAccel;
 use crate::sampler::{DpssSampler, OpError};
 use bignum::{BigUint, Ratio};
 use pss_core::fault::{self, Site};
@@ -426,8 +427,9 @@ impl DeamortizedDpss {
     /// `ctx`. O(1 + μ) expected — handle translation is by dense reverse
     /// maps.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
-        let total = BigUint::from_u128(self.total_weight());
-        self.query_with_shared_total(ctx, alpha, beta, &total)
+        let mut out = Vec::new();
+        self.query_mapped(ctx, alpha, beta, &mut out, |h| h);
+        out
     }
 
     /// Runs `f` with the internal default context moved out of `self` (the
@@ -448,16 +450,11 @@ impl DeamortizedDpss {
     }
 
     /// Legacy convenience: a batch of PSS queries on the internal default
-    /// context — a loop of [`DeamortizedDpss::query`] with the exact
-    /// total-weight conversion hoisted out of the batch (queries never change
-    /// the weights, so one `Σw` serves every pair). The shared-read
-    /// `PssBackend::query_many` default instead derives an independent stream
-    /// per index; both produce the same law.
+    /// context — a loop of [`DeamortizedDpss::query`] on one continuous
+    /// stream. The shared-read `PssBackend::query_many` default instead
+    /// derives an independent stream per index; both produce the same law.
     pub fn query_many(&mut self, params: &[(Ratio, Ratio)]) -> Vec<Vec<Handle>> {
-        let total = BigUint::from_u128(self.total_weight());
-        self.with_default_ctx(|s, ctx| {
-            params.iter().map(|(a, b)| s.query_with_shared_total(ctx, a, b, &total)).collect()
-        })
+        self.with_default_ctx(|s, ctx| params.iter().map(|(a, b)| s.query_in(ctx, a, b)).collect())
     }
 
     /// Disables (`true`) or re-enables the word-level query fast path on both
@@ -471,24 +468,23 @@ impl DeamortizedDpss {
         }
     }
 
-    fn query_with_shared_total(
+    /// The one query path: both halves under the union's `W = α·Σw + β`,
+    /// whose accelerators are built once per query; appends `map(h)` for
+    /// every sampled handle `h` to `out`.
+    pub(crate) fn query_mapped<T>(
         &self,
         ctx: &mut QueryCtx,
         alpha: &Ratio,
         beta: &Ratio,
-        total: &BigUint,
-    ) -> Vec<Handle> {
-        let w = alpha.mul_big(total).add(beta);
-        let mut out = Vec::new();
-        for id in self.old.query_with_total_in(ctx, &w) {
-            out.push(self.rev_old[id.idx()]);
-        }
+        out: &mut Vec<T>,
+        map: impl Fn(Handle) -> T,
+    ) {
+        let w = alpha.mul_big(&BigUint::from_u128(self.total_weight())).add(beta);
+        let accel = (!w.is_zero()).then(|| QueryAccel::new(&w, !self.force_exact));
+        self.old.query_with_plan(ctx, &w, accel, out, |id| map(self.rev_old[id.idx()]));
         if let Some(new) = &self.new {
-            for id in new.query_with_total_in(ctx, &w) {
-                out.push(self.rev_new[id.idx()]);
-            }
+            new.query_with_plan(ctx, &w, accel, out, |id| map(self.rev_new[id.idx()]));
         }
-        out
     }
 
     /// Advances the epoch machinery by one update's worth of work.

@@ -41,6 +41,7 @@ pub mod deamortized;
 pub mod diagnostics;
 pub mod item;
 pub mod lookup;
+pub mod plan;
 pub mod query;
 pub mod sampler;
 mod snapshot;

@@ -17,75 +17,68 @@
 //! Every acceptance probability is an exact rational, so the returned subset
 //! has exactly the distribution `Π_x Ber(p_x(α,β))`.
 //!
-//! **Fast path.** Paying a multi-word `BigUint` multiply per inclusion coin
-//! is what kept HALT behind the naive float baseline on queries. Each coin
-//! here now goes through a two-sided word test ([`randvar::Bits64`]): a
-//! precomputed [`QueryAccel`] turns `W` into certified f64 bounds of `1/W`,
-//! every coin's bracket is one or two directed-rounded float multiplies, and
-//! the exact rational machinery only runs when the uniform word lands in the
-//! ulp-wide sliver between certain-accept and certain-reject (≈ 2⁻⁵⁰ per
-//! coin), *conditioned on the drawn word* — so the sampled distribution is
-//! bit-for-bit the same as the all-exact implementation.
+//! **Word-RAM path.** `W` is the only multi-word quantity of a query, and it
+//! is reduced once per plan to a [`QueryAccel`]: certified `f64` bounds of
+//! `1/W` and of `2^{⌊log2 W⌋}/W`, plus the exact `⌊log2 W⌋` and `⌈log2 W⌉`.
+//! From there every step is word-sized:
+//!
+//! - the level thresholds, `i₁` and the `p·n_b ≥ 1` test compare exponents,
+//!   then mantissa brackets, and fall back to exact arithmetic only when a
+//!   bracket straddles the boundary;
+//! - each candidate bucket's `p = 2^{b+1}/W` is a [`randvar::WordProb`]
+//!   (bracket `2^{b+1}·[1/W]`, exponent `b+1−⌈log2 W⌉`) with its own
+//!   `(1−p)^{2^i}` power table, so the B-Geo/T-Geo/`Ber(p*)` coins of the
+//!   stride walk cost popcount(k) multiplies each;
+//! - an in-bucket coin whose word is below 2^63 accepts without reading the
+//!   item's weight (every member of bucket `b` has `w ≥ 2^b`, so
+//!   `w/2^{b+1} ≥ 1/2`);
+//! - every other coin — Algorithm 2's thinning coin included, which fires
+//!   about once per small level-2/3 node — is one uniform word against a
+//!   [`Bits64`] bracket.
+//!
+//! Exact rationals run only in the ulp-wide sliver of a coin (≈ 2⁻⁵⁰,
+//! *conditioned on the drawn word*, so the sample stream is bit-for-bit the
+//! all-exact one) and whenever `W` leaves the `f64` range (every bracket is
+//! then trivial). Force-exact mode runs everything exactly and stays the
+//! oracle.
+//!
+//! The recursion keeps its sampled proxies in a [`QueryScratch`] owned by
+//! the caller's context, and [`query_level1`] appends the sampled items to
+//! one output buffer — the caller's own with `PssBackend::query_into` — so a
+//! warm query performs no heap allocation.
 
 use crate::lookup::{LookupTable, MAX_K};
+pub use crate::plan::{thresholds, QueryAccel, Thresholds};
 use crate::structure::{pow2_scaled, pow2f, Level1, LevelView, NodeView};
+use crate::ItemId;
 use bignum::{BigUint, Ratio};
 use rand::RngCore;
 use randvar::{
-    ber_bits_with, ber_pstar, ber_rational_from_word, ber_rational_parts, bgeo, div_down, div_up,
-    mul_down, mul_up, tgeo, Bits64,
+    ber_bits_from_word, ber_rational_from_word, ber_rational_parts, div_down, div_up, mul_down,
+    mul_up, Bits64, WordProb,
 };
 use std::cmp::Ordering;
-use wordram::bits;
-use wordram::narrow;
+use wordram::{bits, narrow};
 
-/// Precomputed word-sized accelerators for a query's total weight `W`:
-/// certified `f64` bounds of `1/W` (each coin's [`Bits64`] bracket is then
-/// one or two float multiplies away) plus the exact `⌈log2 W⌉` that decides
-/// probability clamps (Claim 4.3). Construction costs a handful of word
-/// operations; [`crate::DpssSampler`] caches it per `(α, β)` across queries.
-#[derive(Clone, Copy, Debug)]
-pub struct QueryAccel {
-    /// Certified lower bound of `1/W`.
-    winv_lo: f64,
-    /// Certified upper bound of `1/W`.
-    winv_hi: f64,
-    /// `⌈log2 W⌉`, exact.
-    w_ceil_log2: i64,
-    /// `false` forces every coin onto the original all-exact path.
-    fast: bool,
-}
-
-impl QueryAccel {
-    /// Builds the accelerators for `w > 0`; pass `fast = false` for
-    /// force-exact mode (agreement testing, ablations).
-    pub fn new(w: &Ratio, fast: bool) -> Self {
-        assert!(!w.is_zero(), "query accelerators need W > 0");
-        let (winv_lo, winv_hi) = Ratio::f64_bounds_parts(w.den(), w.num());
-        QueryAccel { winv_lo, winv_hi, w_ceil_log2: w.ceil_log2(), fast }
-    }
-
-    /// `true` iff coins may take the word-level shortcut (construction-time
-    /// flag and no thread-level exact-mode guard).
-    #[inline]
-    fn use_fast(&self) -> bool {
-        self.fast && randvar::fast_path_enabled()
-    }
-
-    /// [`Bits64`] bracket of the inclusion probability `min(1, w_x/W)` from a
-    /// certified weight bracket.
-    #[inline]
-    fn incl_bits(&self, (w_lo, w_hi): (f64, f64)) -> Bits64 {
-        Bits64::from_f64_bounds(mul_down(w_lo, self.winv_lo), mul_up(w_hi, self.winv_hi))
-    }
+/// Reusable buffers of the query recursion, one per level below the root:
+/// the proxies a level-2 node samples (level-1 buckets), the proxies a
+/// level-3 node samples (level-2 buckets), and the level-3 buckets the final
+/// level accepts as candidates. Kept in the caller's context, so warm
+/// queries do not allocate.
+#[derive(Debug, Default)]
+pub struct QueryScratch {
+    l1: Vec<u16>,
+    l2: Vec<u16>,
+    l3: Vec<u16>,
 }
 
 /// Per-query frame: the RNG, the exact parameterized total weight
-/// `W = α·Σw + β > 0`, its precomputed accelerators, and the lookup table.
+/// `W = α·Σw + β > 0`, its precomputed accelerators, the lookup table, and
+/// the recursion's scratch buffers.
 ///
-/// Every field is *borrowed* — the RNG and the table come out of the
-/// caller's [`pss_core::QueryCtx`] (the sampler owns neither), which is what
-/// lets queries run on `&self` samplers.
+/// Every field is *borrowed* — the RNG, the table and the scratch come out
+/// of the caller's [`pss_core::QueryCtx`] (the sampler owns none of them),
+/// which is what lets queries run on `&self` samplers.
 #[derive(Debug)]
 pub struct QueryFrame<'a, R: RngCore> {
     /// Random source (borrowed from the caller's context).
@@ -98,6 +91,8 @@ pub struct QueryFrame<'a, R: RngCore> {
     pub table: &'a mut LookupTable,
     /// Final-level strategy (lookup table vs direct Bernoulli; ablation A1).
     pub final_mode: FinalLevelMode,
+    /// Proxy buffers of the recursion (kept in the caller's context).
+    pub scratch: &'a mut QueryScratch,
 }
 
 /// Strategy for answering final-level instances.
@@ -111,58 +106,49 @@ pub enum FinalLevelMode {
     Direct,
 }
 
-/// Query-time bucket/group range decomposition at one level.
-#[derive(Clone, Copy, Debug)]
-pub struct Thresholds {
-    /// Largest *fully-insignificant* bucket index covered by the insignificant
-    /// instance (`-1` if none).
-    pub i_insig_top: i64,
-    /// Smallest bucket index of the certain instance.
-    pub i_cert_bottom: i64,
-    /// Largest fully-insignificant group index (`-1` if none).
-    pub j_insig_max: i64,
-    /// Smallest fully-certain group index.
-    pub j_cert_min: i64,
-}
-
-/// Computes the group-aligned thresholds for a level with `n` items and group
-/// width `g` under total weight `w > 0` (§4.1 definitions).
-pub fn thresholds(w: &Ratio, n: usize, g: u32) -> Thresholds {
-    debug_assert!(!w.is_zero() && n >= 1 && g >= 1);
-    let g = g as i64;
-    // Insignificant bucket: 2^{i+1}/W ≤ 1/N² ⟺ i ≤ ⌊log2(W/N²)⌋ − 1.
-    let n2 = BigUint::from_u128((n as u128) * (n as u128));
-    let w_over_n2 = Ratio::new(w.num().clone(), w.den().mul(&n2));
-    let i_ins_max = w_over_n2.floor_log2() - 1;
-    // Certain bucket: 2^i/W ≥ 1 ⟺ i ≥ ⌈log2 W⌉.
-    let i_cert_min = w.ceil_log2();
-    // Group j fully insignificant ⟺ (j+1)g − 1 ≤ i_ins_max.
-    let j_insig_max = if i_ins_max >= g - 1 { (i_ins_max - g + 1).div_euclid(g) } else { -1 };
-    // Group j fully certain ⟺ j·g ≥ i_cert_min.
-    let j_cert_min = i_cert_min.div_euclid(g) + i64::from(i_cert_min.rem_euclid(g) != 0);
-    let j_cert_min = j_cert_min.max(0);
-    Thresholds {
-        i_insig_top: (j_insig_max + 1) * g - 1,
-        i_cert_bottom: j_cert_min * g,
-        j_insig_max,
-        j_cert_min,
+/// Draws `Ber(num/den)` for the exact parts `parts()` of a probability.
+/// Force-exact mode runs the exact comparison. Otherwise one uniform word
+/// decides: below `floor` (a certain-accept bound the caller knows without
+/// reading any data) it accepts outright; else it is tested against the
+/// certified bracket `bracket()`, and the exact parts are formed only in the
+/// sliver, conditioned on the word — so the stream is the exact one.
+fn coin<R: RngCore>(
+    rng: &mut R,
+    accel: &QueryAccel,
+    floor: u64,
+    bracket: impl FnOnce() -> (f64, f64),
+    mut parts: impl FnMut() -> (BigUint, BigUint),
+) -> bool {
+    if !accel.use_fast() {
+        let (num, den) = parts();
+        return ber_rational_parts(rng, &num, &den);
     }
+    let u = rng.next_u64();
+    if u < floor {
+        // Premise p ≥ floor/2^64, checked exactly.
+        debug_assert!(
+            {
+                let (num, den) = parts();
+                num.shl(64).cmp(&den.mul(&BigUint::from_u64(floor))) != Ordering::Less
+            },
+            "certain-accept floor above p"
+        );
+        return true;
+    }
+    let (lo, hi) = bracket();
+    let bits = Bits64::from_f64_bounds(lo, hi);
+    if cfg!(debug_assertions) {
+        let (num, den) = parts();
+        bits.debug_validate(&num, &den);
+    }
+    ber_bits_from_word(rng, &bits, u, |rng, u| {
+        let (num, den) = parts();
+        ber_rational_from_word(rng, &num, &den, u)
+    })
 }
 
-/// Draws `Ber(min(1, w_x/W) / p0)` — the thinning coin of Algorithm 2 (at
-/// most one per level instance, so it stays on the exact path).
-fn accept_thinned<R: RngCore>(rng: &mut R, w_x: &BigUint, w: &Ratio, p0: &Ratio) -> bool {
-    // ratio = (w_x·W.den·p0.den) / (W.num·p0.num); callers guarantee ≤ 1.
-    let num = w_x.mul(w.den()).mul(p0.den());
-    let den = w.num().mul(p0.num());
-    debug_assert!(num.cmp(&den) != Ordering::Greater, "thinning ratio above 1");
-    ber_rational_parts(rng, &num, &den)
-}
-
-/// Draws `Ber(min(1, w_x/W))` — the plain inclusion coin. One uniform word
-/// against the certified bracket of `w_x/W`; the weight only leaves its
-/// fixed-width `U256` form (and the `BigUint` products are only formed)
-/// inside the sliver, or in force-exact mode.
+/// Draws `Ber(min(1, w_x/W))` — the plain inclusion coin. The weight only
+/// leaves its fixed-width `U256` form inside the sliver.
 fn accept_plain<V: LevelView, R: RngCore>(
     view: &V,
     rng: &mut R,
@@ -170,78 +156,89 @@ fn accept_plain<V: LevelView, R: RngCore>(
     accel: &QueryAccel,
     x: V::Id,
 ) -> bool {
-    if accel.use_fast() {
-        let bits = accel.incl_bits(view.weight_f64_bounds(x));
-        if cfg!(debug_assertions) {
-            bits.debug_validate(&view.weight_u256(x).to_biguint().mul(w.den()), w.num());
-        }
-        return ber_bits_with(rng, &bits, |rng, u| {
-            ber_rational_from_word(rng, &view.weight_u256(x).to_biguint().mul(w.den()), w.num(), u)
-        });
-    }
-    ber_rational_parts(rng, &view.weight_u256(x).to_biguint().mul(w.den()), w.num())
+    let bracket = || accel.incl_f64_bounds(view.weight_f64_bounds(x));
+    coin(rng, accel, 0, bracket, || {
+        (view.weight_u256(x).to_biguint().mul(w.den()), w.num().clone())
+    })
+}
+
+/// Draws `Ber(min(1, w_x/W) / p0)` — the thinning coin of Algorithm 2, on
+/// the bracket `[w_x/W] / [p0]`.
+fn accept_thinned<V: LevelView, R: RngCore>(
+    view: &V,
+    rng: &mut R,
+    w: &Ratio,
+    accel: &QueryAccel,
+    x: V::Id,
+    p0: &mut WordProb<'_>,
+) -> bool {
+    let (p0_lo, p0_hi) = p0.f64_bounds();
+    let bracket = || {
+        let (a_lo, a_hi) = accel.incl_f64_bounds(view.weight_f64_bounds(x));
+        (div_down(a_lo, p0_hi), div_up(a_hi, p0_lo))
+    };
+    coin(rng, accel, 0, bracket, || {
+        // (w_x·W.den·p0.den) / (W.num·p0.num); callers guarantee ≤ 1.
+        let p0 = p0.exact();
+        let (num, den) = (view.weight_u256(x).to_biguint().mul(w.den()), w.num());
+        (num.mul(p0.den()), den.mul(p0.num()))
+    })
 }
 
 /// Algorithm 2: the insignificant instance. Samples from all items in buckets
 /// `0..=i_top`, each of which has inclusion probability `≤ p0`, in O(1)
-/// expected time via one `B-Geo(p0, N+1)` jump.
+/// expected time via one `B-Geo(p0, N+1)` jump; hits go to `emit`.
 pub fn query_insignificant<V: LevelView, R: RngCore>(
     view: &V,
     rng: &mut R,
     w: &Ratio,
     accel: &QueryAccel,
     i_top: i64,
-    p0: &Ratio,
-) -> Vec<V::Id> {
+    p0: &mut WordProb<'_>,
+    emit: &mut impl FnMut(V::Id),
+) {
     let n = view.n_items() as u64;
     if n == 0 || i_top < 0 {
-        return Vec::new();
+        return;
     }
     // First potential index k via B-Geo(p0, N+1) (p0 = 1 degenerates to k=1).
-    let k = if p0.cmp_int(1) != Ordering::Less { 1 } else { bgeo(rng, p0, n + 1) };
+    let k = if p0.floor_log2() >= 0 { 1 } else { p0.bgeo(rng, n + 1) };
     if k > n {
-        return Vec::new();
+        return;
     }
-    // Collect A: all items in buckets with index ≤ i_top (cost O(N), incurred
-    // with probability ≤ 1 − (1−p0)^N ≤ N·p0 ≤ 1/N — O(1) in expectation).
-    let mut a: Vec<V::Id> = Vec::new();
+    // Walk A — all items in buckets with index ≤ i_top, in bucket order — from
+    // its k-th item on (cost O(N), incurred with probability ≤ 1 − (1−p0)^N ≤
+    // N·p0 ≤ 1/N — O(1) in expectation). If |A| < k no coin is drawn.
+    let mut seen = 0u64;
     for b in view.nonempty().range(0, i_top as usize) {
-        for pos in 0..view.bucket_len(b) {
-            a.push(view.bucket_item(b, pos));
+        let len = view.bucket_len(b) as u64;
+        for pos in k.saturating_sub(seen + 1)..len {
+            let x = view.bucket_item(b, pos as usize);
+            let hit = if seen + pos + 1 == k {
+                accept_thinned(view, rng, w, accel, x, p0)
+            } else {
+                accept_plain(view, rng, w, accel, x)
+            };
+            if hit {
+                emit(x);
+            }
         }
+        seen += len;
     }
-    if (a.len() as u64) < k {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    // pss-lint: allow(no-bare-index) — k ≥ 1 (bgeo is 1-based) and a.len() ≥ k was checked above
-    let first = a[(k - 1) as usize];
-    if accept_thinned(rng, &view.weight_u256(first).to_biguint(), w, p0) {
-        out.push(first);
-    }
-    // pss-lint: allow(no-bare-index) — a.len() ≥ k was checked above, so the range start is in bounds
-    for &x in &a[k as usize..] {
-        if accept_plain(view, rng, w, accel, x) {
-            out.push(x);
-        }
-    }
-    out
 }
 
 /// Algorithm 3: the certain instance — every item in buckets `≥ i_bottom` has
 /// inclusion probability exactly 1.
-pub fn query_certain<V: LevelView>(view: &V, i_bottom: i64) -> Vec<V::Id> {
+pub fn query_certain<V: LevelView>(view: &V, i_bottom: i64, emit: &mut impl FnMut(V::Id)) {
     let lo = i_bottom.max(0) as usize;
-    let mut out = Vec::new();
     if lo >= view.nonempty().universe() {
-        return out;
+        return;
     }
     for b in view.nonempty().range(lo, view.nonempty().universe() - 1) {
         for pos in 0..view.bucket_len(b) {
-            out.push(view.bucket_item(b, pos));
+            emit(view.bucket_item(b, pos));
         }
     }
-    out
 }
 
 /// Algorithm 5: opens each *candidate bucket* (a sampled next-level proxy) and
@@ -263,8 +260,8 @@ pub fn extract_items<V: LevelView, R: RngCore>(
     w: &Ratio,
     accel: &QueryAccel,
     candidate_buckets: &[u16],
-) -> Vec<V::Id> {
-    let mut out = Vec::new();
+    emit: &mut impl FnMut(V::Id),
+) {
     // Warm every candidate bucket's head before the first coin is drawn:
     // the hints issue in parallel, so each bucket's first touch overlaps
     // the preceding buckets' acceptance arithmetic instead of serializing
@@ -296,22 +293,20 @@ pub fn extract_items<V: LevelView, R: RngCore>(
                 view.prefetch_bucket_item(b, pos as usize + 8);
                 let x = view.bucket_item(b, pos as usize);
                 if accept_plain(view, rng, w, accel, x) {
-                    out.push(x);
+                    emit(x);
                 }
             }
             continue;
         }
-        let pow = BigUint::pow2(shift);
-        let p = Ratio::new(pow.mul(w.den()), w.num().clone());
+        let mut p = WordProb::pow2_over(shift, w, accel.winv, accel.w_ceil_log2);
         // First potential index.
-        let p_times_n = p.mul_big(&BigUint::from_u64(n_b));
-        let mut k = if p_times_n.cmp_int(1) != Ordering::Less {
-            bgeo(rng, &p, n_b + 1)
+        let mut k = if p.times_int_ge_one(n_b) {
+            p.bgeo(rng, n_b + 1)
         } else {
-            if !ber_pstar(rng, &p, n_b) {
+            if !p.ber_pstar(rng, n_b) {
                 continue; // bucket rejected: contains no potential item
             }
-            tgeo(rng, &p, n_b)
+            p.tgeo(rng, n_b)
         };
         // Walk the remaining potential items with B-Geo strides. While the
         // current item's acceptance coin is being drawn, hint the line one
@@ -323,38 +318,33 @@ pub fn extract_items<V: LevelView, R: RngCore>(
         while k <= n_b {
             view.prefetch_bucket_item(b, (k - 1 + est_stride) as usize);
             let x = view.bucket_item(b, (k - 1) as usize);
-            if accept_in_bucket(view, rng, accel, x, shift, &pow) {
-                out.push(x);
+            if accept_in_bucket(view, rng, accel, x, shift) {
+                emit(x);
             }
-            k += bgeo(rng, &p, n_b + 1);
+            k += p.bgeo(rng, n_b + 1);
         }
     }
-    out
 }
 
 /// Draws `Ber(w(x)/2^{b+1})` — the open-bucket acceptance coin of
-/// Algorithm 5 (`p_x/p`, < 1 since `w(x) < 2^{b+1}`). The denominator is a
-/// power of two, so the fast bracket is an exact-scaling float multiply.
+/// Algorithm 5 (`p_x/p ∈ [1/2, 1)`, since `2^b ≤ w(x) < 2^{b+1}`). A word
+/// below 2^63 accepts without reading the weight; otherwise the denominator
+/// is a power of two, so the bracket is an exact-scaling float multiply.
 fn accept_in_bucket<V: LevelView, R: RngCore>(
     view: &V,
     rng: &mut R,
     accel: &QueryAccel,
     x: V::Id,
     shift: u64,
-    pow: &BigUint,
 ) -> bool {
-    if accel.use_fast() {
+    let bracket = || {
         let (w_lo, w_hi) = view.weight_f64_bounds(x);
         let sc = pow2f(-narrow::i32_of_u64(shift));
-        let bits = Bits64::from_f64_bounds(mul_down(w_lo, sc), mul_up(w_hi, sc));
-        if cfg!(debug_assertions) {
-            bits.debug_validate(&view.weight_u256(x).to_biguint(), pow);
-        }
-        return ber_bits_with(rng, &bits, |rng, u| {
-            ber_rational_from_word(rng, &view.weight_u256(x).to_biguint(), pow, u)
-        });
-    }
-    ber_rational_parts(rng, &view.weight_u256(x).to_biguint(), pow)
+        (mul_down(w_lo, sc), mul_up(w_hi, sc))
+    };
+    coin(rng, accel, bits::pow2_64(63), bracket, || {
+        (view.weight_u256(x).to_biguint(), BigUint::pow2(shift))
+    })
 }
 
 /// Iterates the non-empty *significant* groups of a level and hands each to
@@ -381,108 +371,100 @@ fn for_significant_groups(
 }
 
 /// One-level query on a level-2 node (Algorithm 1 with recursion into the
-/// final level). Returns sampled proxies = level-1 bucket indices.
-pub fn query_node<R: RngCore>(view: &NodeView<'_>, ctx: &mut QueryFrame<'_, R>) -> Vec<u16> {
+/// final level). Leaves the sampled proxies — level-1 bucket indices — in
+/// the frame's scratch.
+pub fn query_node<R: RngCore>(view: &NodeView<'_>, ctx: &mut QueryFrame<'_, R>) {
     debug_assert_eq!(view.node.level, 2);
+    ctx.scratch.l1.clear();
     let n = view.node.n_members;
     if n == 0 {
-        return Vec::new();
+        return;
     }
-    let th = thresholds(ctx.w, n, view.node.group_width);
-    let p0 = Ratio::from_u128s(1, (n as u128) * (n as u128));
-    let mut out = query_insignificant(view, ctx.rng, ctx.w, &ctx.accel, th.i_insig_top, &p0);
-    out.extend(query_certain(view, th.i_cert_bottom));
-    let mut sig_groups: Vec<usize> = Vec::new();
-    for_significant_groups(&view.node.nonempty_groups, &th, |l| sig_groups.push(l));
-    for l in sig_groups {
+    let th = ctx.accel.thresholds(ctx.w, n, view.node.group_width);
+    let mut p0 = WordProb::pow2_over_int(0, (n as u128) * (n as u128));
+    let (rng, w, accel) = (&mut *ctx.rng, ctx.w, &ctx.accel);
+    let mut emit = |y| ctx.scratch.l1.push(y);
+    query_insignificant(view, rng, w, accel, th.i_insig_top, &mut p0, &mut emit);
+    query_certain(view, th.i_cert_bottom, &mut |y| ctx.scratch.l1.push(y));
+    for_significant_groups(&view.node.nonempty_groups, &th, |l| {
         // pss-lint: allow(no-panic-paths) — for_significant_groups only yields groups whose bitset bit is set, and a set bit implies an allocated child
         let child = view.child(l).expect("non-empty group without child");
-        let tz = query_final(&child, ctx);
-        out.extend(extract_items(view, ctx.rng, ctx.w, &ctx.accel, &tz));
-    }
-    out
+        query_final(&child, ctx);
+        let tz = &ctx.scratch.l2;
+        extract_items(view, ctx.rng, ctx.w, &ctx.accel, tz, &mut |y| ctx.scratch.l1.push(y));
+    });
 }
 
 /// The final-level query (§4.4): insignificant + certain ranges plus the
 /// lookup-table-driven middle range of at most `K = O(log m)` buckets.
-/// Returns sampled proxies = level-2 bucket indices.
-pub fn query_final<R: RngCore>(view: &NodeView<'_>, ctx: &mut QueryFrame<'_, R>) -> Vec<u16> {
+/// Leaves the sampled proxies — level-2 bucket indices — in the frame's
+/// scratch.
+pub fn query_final<R: RngCore>(view: &NodeView<'_>, ctx: &mut QueryFrame<'_, R>) {
     let node = view.node;
     debug_assert_eq!(node.level, 3);
+    ctx.scratch.l2.clear();
+    ctx.scratch.l3.clear();
     let n = node.n_members;
     if n == 0 {
-        return Vec::new();
+        return;
     }
     let m = ctx.table.modulus() as u64;
     let m2 = m * m;
     // i1 = largest index with 2^{i1+1}/W ≤ 2/m² ⟺ i1 = ⌊log2(2W/m²)⌋ − 1.
-    let scaled = Ratio::new(ctx.w.num().mul_u64(2), ctx.w.den().mul_u64(m2));
-    let i1 = scaled.floor_log2() - 1;
+    let i1 = ctx.accel.floor_log2_over(ctx.w, u128::from(m2));
     let i2 = ctx.accel.w_ceil_log2; // = ⌈log2 W⌉, precomputed
-    debug_assert_eq!(i2, ctx.w.ceil_log2());
-    let p0 = Ratio::from_u64s(2, m2);
-    let mut out = query_insignificant(view, ctx.rng, ctx.w, &ctx.accel, i1, &p0);
-    out.extend(query_certain(view, i2));
+    let mut p0 = WordProb::pow2_over_int(1, u128::from(m2));
+    let (rng, w, accel) = (&mut *ctx.rng, ctx.w, &ctx.accel);
+    query_insignificant(view, rng, w, accel, i1, &mut p0, &mut |y| ctx.scratch.l2.push(y));
+    query_certain(view, i2, &mut |y| ctx.scratch.l2.push(y));
 
     let k_len = i2 - i1 - 1;
     if k_len <= 0 || i2 <= 0 {
         // No middle range, or it lies entirely below bucket index 0.
-        return out;
+        return;
     }
     let lo = i1 + 1; // first significant bucket index
-    let use_table =
-        ctx.final_mode == FinalLevelMode::Lookup && (k_len as usize) <= MAX_K && lo >= 0;
-    let mut candidates: Vec<u16> = Vec::new();
-    if use_table {
+    let bucket_len = |idx: usize| node.buckets.get(idx).map_or(0, |b| b.len());
+    let mut config = [0u32; MAX_K];
+    let table_config = (ctx.final_mode == FinalLevelMode::Lookup && lo >= 0)
+        .then(|| config.get_mut(..k_len as usize))
+        .flatten();
+    if let Some(config) = table_config {
         // Assemble the 4S configuration from the adapter (bucket sizes).
-        let mut config = vec![0u32; k_len as usize];
-        let mut any = false;
         for (t, c) in config.iter_mut().enumerate() {
-            let idx = lo as usize + t;
-            if idx < node.buckets.len() {
-                // pss-lint: allow(no-bare-index) — guarded by idx < node.buckets.len() on the previous line
-                *c = narrow::u32_of_usize(node.buckets[idx].len());
-                any |= *c > 0;
-            }
+            *c = narrow::u32_of_usize(bucket_len(lo as usize + t));
         }
-        if !any {
-            return out;
+        if config.iter().all(|&c| c == 0) {
+            return;
         }
         debug_assert!(config.iter().all(|&c| c as u64 <= m), "bucket size exceeds m");
-        let r = ctx.table.sample(ctx.rng, &config);
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..config.len() {
-            // pss-lint: allow(no-bare-index) — t ranges over 0..config.len()
-            if !bits::bit64(u64::from(r), t as u64) || config[t] == 0 {
+        let r = ctx.table.sample(ctx.rng, config);
+        for (t, &c) in config.iter().enumerate() {
+            if !bits::bit64(u64::from(r), t as u64) || c == 0 {
                 continue;
             }
             let idx = lo as usize + t;
-            // pss-lint: allow(no-bare-index) — t ranges over 0..config.len()
-            let num_t = ctx.table.slot_prob_num(t, config[t]);
-            // pss-lint: allow(no-bare-index) — t ranges over 0..config.len()
-            if accept_table_candidate(ctx.rng, ctx.w, &ctx.accel, idx, config[t], num_t, m2) {
-                candidates.push(narrow::u16_of_usize(idx));
+            let num_t = ctx.table.slot_prob_num(t, c);
+            if accept_table_candidate(ctx.rng, ctx.w, &ctx.accel, idx, c, num_t, m2) {
+                ctx.scratch.l3.push(narrow::u16_of_usize(idx));
             }
         }
-    } else {
+    } else if let Some(last) = node.buckets.len().checked_sub(1) {
         // Direct mode: one Bernoulli min(1, w_v/W) per significant bucket.
         // `checked_sub` guards the empty-bucket-vector edge case (no
         // underflowing `len() - 1`).
-        if let Some(last) = node.buckets.len().checked_sub(1) {
-            let hi = ((i2 - 1) as usize).min(last);
-            if lo.max(0) as usize <= hi {
-                for idx in node.nonempty_buckets.range(lo.max(0) as usize, hi) {
-                    // pss-lint: allow(no-bare-index) — idx iterates nonempty_buckets, whose bits mirror buckets.len()
-                    let c = node.buckets[idx].len() as u64;
-                    if accept_direct_candidate(ctx.rng, ctx.w, &ctx.accel, idx, c) {
-                        candidates.push(narrow::u16_of_usize(idx));
-                    }
+        let hi = ((i2 - 1) as usize).min(last);
+        if lo.max(0) as usize <= hi {
+            for idx in node.nonempty_buckets.range(lo.max(0) as usize, hi) {
+                let c = bucket_len(idx) as u64;
+                if accept_direct_candidate(ctx.rng, ctx.w, &ctx.accel, idx, c) {
+                    ctx.scratch.l3.push(narrow::u16_of_usize(idx));
                 }
             }
         }
     }
-    out.extend(extract_items(view, ctx.rng, ctx.w, &ctx.accel, &candidates));
-    out
+    let cand = &ctx.scratch.l3;
+    extract_items(view, ctx.rng, ctx.w, &ctx.accel, cand, &mut |y| ctx.scratch.l2.push(y));
 }
 
 /// Exact parts of the table-candidate acceptance probability
@@ -504,8 +486,7 @@ fn table_accept_parts(w: &Ratio, idx: usize, c: u32, num_t: u64, m2: u64) -> (Bi
 }
 
 /// Accepts a table-sampled bucket as a candidate with probability
-/// `min(1, w_v/W) / (num_t/m²)` — fast two-sided word test first, exact
-/// rational only in the sliver.
+/// `min(1, w_v/W) / (num_t/m²)`.
 fn accept_table_candidate<R: RngCore>(
     rng: &mut R,
     w: &Ratio,
@@ -515,27 +496,17 @@ fn accept_table_candidate<R: RngCore>(
     num_t: u64,
     m2: u64,
 ) -> bool {
-    if accel.use_fast() {
+    let bracket = || {
         // w_v = c·2^{idx+1} is exact in f64 (c ≤ m ≤ 64: few significant
         // bits); m²/num_t is a directed-rounded quotient of small integers.
         let wv = pow2_scaled(u64::from(c), narrow::i32_of_u64(idx as u64) + 1);
-        let a_lo = mul_down(wv, accel.winv_lo).min(1.0);
-        let a_hi = mul_up(wv, accel.winv_hi).min(1.0);
-        let bits = Bits64::from_f64_bounds(
-            mul_down(a_lo, div_down(m2 as f64, num_t as f64)),
-            mul_up(a_hi, div_up(m2 as f64, num_t as f64)),
-        );
-        if cfg!(debug_assertions) {
-            let (num, den) = table_accept_parts(w, idx, c, num_t, m2);
-            bits.debug_validate(&num, &den);
-        }
-        return ber_bits_with(rng, &bits, |rng, u| {
-            let (num, den) = table_accept_parts(w, idx, c, num_t, m2);
-            ber_rational_from_word(rng, &num, &den, u)
-        });
-    }
-    let (num, den) = table_accept_parts(w, idx, c, num_t, m2);
-    ber_rational_parts(rng, &num, &den)
+        let (a_lo, a_hi) = accel.incl_f64_bounds((wv, wv));
+        (
+            mul_down(a_lo.min(1.0), div_down(m2 as f64, num_t as f64)),
+            mul_up(a_hi.min(1.0), div_up(m2 as f64, num_t as f64)),
+        )
+    };
+    coin(rng, accel, 0, bracket, || table_accept_parts(w, idx, c, num_t, m2))
 }
 
 /// Accepts a significant bucket in direct mode with probability
@@ -547,58 +518,41 @@ fn accept_direct_candidate<R: RngCore>(
     idx: usize,
     c: u64,
 ) -> bool {
-    if accel.use_fast() {
-        let wv = pow2_scaled(c, narrow::i32_of_u64(idx as u64) + 1); // exact product
-        let bits = Bits64::from_f64_bounds(mul_down(wv, accel.winv_lo), mul_up(wv, accel.winv_hi));
-        if cfg!(debug_assertions) {
-            bits.debug_validate(&BigUint::from_u64(c).shl(idx as u64 + 1).mul(w.den()), w.num());
-        }
-        return ber_bits_with(rng, &bits, |rng, u| {
-            let num = BigUint::from_u64(c).shl(idx as u64 + 1).mul(w.den());
-            ber_rational_from_word(rng, &num, w.num(), u)
-        });
-    }
-    let num = BigUint::from_u64(c).shl(idx as u64 + 1).mul(w.den());
-    ber_rational_parts(rng, &num, w.num())
+    let wv = pow2_scaled(c, narrow::i32_of_u64(idx as u64) + 1); // exact product
+    coin(
+        rng,
+        accel,
+        0,
+        || accel.incl_f64_bounds((wv, wv)),
+        || (BigUint::from_u64(c).shl(idx as u64 + 1).mul(w.den()), w.num().clone()),
+    )
 }
 
-/// Algorithm 1 at the root: the full PSS query on the real item set.
-pub fn query_level1<R: RngCore>(
+/// Algorithm 1 at the root: the full PSS query on the real item set, under
+/// the frame's `W` and accelerators (a cached per-`(α, β)` plan, or the
+/// shared `W` of a de-amortized sampler's two halves). Appends `map(x)` for
+/// every sampled item `x` to `out`.
+pub fn query_level1<R: RngCore, T>(
     level1: &Level1,
     ctx: &mut QueryFrame<'_, R>,
-) -> Vec<crate::ItemId> {
+    out: &mut Vec<T>,
+    map: impl Fn(ItemId) -> T,
+) {
     let n = level1.n_positive;
     if n == 0 {
-        return Vec::new();
+        return;
     }
-    let th = thresholds(ctx.w, n, level1.group_width);
-    let p0 = Ratio::from_u128s(1, (n as u128) * (n as u128));
-    query_level1_planned(level1, ctx, &th, &p0)
-}
-
-/// [`query_level1`] with precomputed level-1 thresholds and `p0 = 1/N²` —
-/// the entry point fed by [`crate::DpssSampler`]'s per-`(α, β)` plan cache,
-/// which skips the multi-word threshold setup on repeated queries.
-pub fn query_level1_planned<R: RngCore>(
-    level1: &Level1,
-    ctx: &mut QueryFrame<'_, R>,
-    th: &Thresholds,
-    p0: &Ratio,
-) -> Vec<crate::ItemId> {
-    if level1.n_positive == 0 {
-        return Vec::new();
-    }
-    let mut out = query_insignificant(level1, ctx.rng, ctx.w, &ctx.accel, th.i_insig_top, p0);
-    out.extend(query_certain(level1, th.i_cert_bottom));
-    let mut sig_groups: Vec<usize> = Vec::new();
-    for_significant_groups(&level1.nonempty_groups, th, |j| sig_groups.push(j));
-    for j in sig_groups {
+    let th = ctx.accel.thresholds(ctx.w, n, level1.group_width);
+    let mut p0 = WordProb::pow2_over_int(0, (n as u128) * (n as u128));
+    let mut emit = |x| out.push(map(x));
+    query_insignificant(level1, ctx.rng, ctx.w, &ctx.accel, th.i_insig_top, &mut p0, &mut emit);
+    query_certain(level1, th.i_cert_bottom, &mut emit);
+    for_significant_groups(&level1.nonempty_groups, &th, |j| {
         // pss-lint: allow(no-panic-paths) — for_significant_groups only yields groups whose bitset bit is set, and a set bit implies an allocated child
         let child = level1.child_view(j).expect("non-empty group without child");
-        let ty = query_node(&child, ctx);
-        out.extend(extract_items(level1, ctx.rng, ctx.w, &ctx.accel, &ty));
-    }
-    out
+        query_node(&child, ctx);
+        extract_items(level1, ctx.rng, ctx.w, &ctx.accel, &ctx.scratch.l1, &mut emit);
+    });
 }
 
 #[cfg(test)]
@@ -651,16 +605,19 @@ mod tests {
             let w = Ratio::from_int(8);
             let mut table = LookupTable::new(4);
             let mut rng = SmallRng::seed_from_u64(3);
+            let mut scratch = QueryScratch::default();
             let mut ctx = QueryFrame {
                 rng: &mut rng,
                 w: &w,
                 accel: QueryAccel::new(&w, true),
                 table: &mut table,
                 final_mode: mode,
+                scratch: &mut scratch,
             };
             let view =
                 crate::structure::NodeView { pool: &pool, node: pool.node(idx), parent: &[] };
-            assert!(query_final(&view, &mut ctx).is_empty(), "{mode:?}");
+            query_final(&view, &mut ctx);
+            assert!(ctx.scratch.l2.is_empty(), "{mode:?}");
         }
     }
 

@@ -3,9 +3,10 @@
 //! ## Read/write split
 //!
 //! Updates (`insert`/`delete`/`set_weight`) take `&mut self`. Queries take
-//! **`&self`** plus an explicit [`QueryCtx`] ([`DpssSampler::query_in`] /
-//! [`DpssSampler::query_with_total_in`]): the RNG stream, the memoized
-//! lookup-table rows, and the per-`(α, β)` plan cache all live in the
+//! **`&self`** plus an explicit [`QueryCtx`] ([`DpssSampler::query_in`], or
+//! `PssBackend::query_into` into a reused buffer): the RNG stream, the
+//! memoized lookup-table rows, the query recursion's scratch buffers, and
+//! the per-`(α, β)` plan cache all live in the
 //! caller's context (keyed by this sampler's instance id and validated
 //! against its mutation epoch), so independent queries can run concurrently
 //! over one shared sampler — see `pss_core::ShardedQuery`.
@@ -17,10 +18,7 @@
 
 use crate::item::ItemId;
 use crate::lookup::LookupTable;
-use crate::query::{
-    query_level1, query_level1_planned, thresholds, FinalLevelMode, QueryAccel, QueryFrame,
-    Thresholds,
-};
+use crate::query::{query_level1, FinalLevelMode, QueryAccel, QueryFrame, QueryScratch};
 use crate::snapshot::{level1_from_slab, read_slab, write_slab};
 use crate::structure::Level1;
 use bignum::{BigUint, Ratio};
@@ -38,32 +36,25 @@ const N0_FLOOR: usize = 16;
 
 /// Capacity of the per-`(α, β)` query-plan cache. Sized to hold a whole
 /// `query_many` batch of distinct parameter pairs (the bench drives 16) with
-/// headroom — a batch larger than the cache would otherwise evict its own
-/// entries FIFO and never hit.
+/// headroom; a full cache evicts its least-recently-used entry, so one-off
+/// parameter pairs cannot flush a hot working set that fits.
 const PLAN_CACHE: usize = 32;
 
-/// A cached per-`(α, β)` query plan: the exact total weight `W`, its
-/// word-sized accelerators, and the level-1 thresholds — everything about a
-/// query that depends only on the parameters and the current item set, so
-/// repeated queries at the same parameters skip all multi-word setup.
-#[derive(Clone, Debug)]
-struct QueryPlan {
-    w: Ratio,
-    accel: QueryAccel,
-    th: Thresholds,
-    p0: Ratio,
-}
-
-/// One cached plan-cache entry: the parameter pair, its plan, and whether
-/// the plan still matches the sampler's current `(Σw, n⁺)` state. A stale
-/// entry keeps its key and its allocation; the next lookup refreshes the
-/// plan in place (see [`PlanState`]).
+/// One plan-cache entry: the parameter pair and its plan — the exact total
+/// weight `W` and its word-sized accelerators, everything about a query that
+/// depends only on the parameters and the current item set. A stale entry
+/// (the plan no longer matches the sampler's `(Σw, n⁺)` state) keeps its key
+/// and its allocation; the next lookup refreshes the plan in place (see
+/// [`PlanState`]).
 #[derive(Debug)]
 struct PlanEntry {
     alpha: Ratio,
     beta: Ratio,
-    plan: QueryPlan,
+    w: Ratio,
+    accel: QueryAccel,
     valid: bool,
+    /// [`PlanState::clock`] at the entry's last use (LRU eviction).
+    last_use: u64,
 }
 
 /// The read-path scratch a [`DpssSampler`] parks in a [`QueryCtx`]: the
@@ -83,7 +74,11 @@ struct PlanEntry {
 #[derive(Debug)]
 pub(crate) struct PlanState {
     pub(crate) table: LookupTable,
+    /// The query recursion's proxy buffers.
+    scratch: QueryScratch,
     plans: Vec<PlanEntry>,
+    /// Lookups so far; stamps [`PlanEntry::last_use`].
+    clock: u64,
     /// Journal epoch this state last synchronized to.
     journal_epoch: u64,
     /// `Σw` at the last synchronization (plans depend on it through `W`).
@@ -101,7 +96,9 @@ impl PlanState {
     fn new(modulus: u32, journal_epoch: u64, total: u128, n_pos: usize) -> Self {
         PlanState {
             table: LookupTable::new(modulus),
+            scratch: QueryScratch::default(),
             plans: Vec::new(),
+            clock: 0,
             journal_epoch,
             total_snapshot: total,
             n_pos_snapshot: n_pos,
@@ -683,98 +680,125 @@ impl DpssSampler {
     /// items have probability 0.
     ///
     /// Repeated queries at the same parameters hit the context's `(α, β)`
-    /// plan cache keyed on the sampler's mutation epoch, so `W`, its
-    /// fast-path accelerators, and the level-1 thresholds are computed once
-    /// per (parameters, item-set version, context) rather than per query.
+    /// plan cache keyed on the sampler's mutation epoch, so `W` and its
+    /// fast-path accelerators are computed once per (parameters, item-set
+    /// version, context) rather than per query. `PssBackend::query_into`
+    /// is the same query appending to a caller-owned buffer.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<ItemId> {
+        let mut out = Vec::new();
+        self.query_mapped(ctx, alpha, beta, &mut out, |id| id);
+        out
+    }
+
+    /// The one query path: plan lookup (or refresh, or build) in `ctx`, then
+    /// the level-1 query appending `map(x)` for every sampled item to `out`.
+    pub(crate) fn query_mapped<T>(
+        &self,
+        ctx: &mut QueryCtx,
+        alpha: &Ratio,
+        beta: &Ratio,
+        out: &mut Vec<T>,
+        map: impl Fn(ItemId) -> T,
+    ) {
         let (rng, st) = self.plan_state(ctx);
         self.revalidate(st);
-        let idx = match st.plans.iter().position(|e| e.alpha == *alpha && e.beta == *beta) {
-            // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
-            Some(i) if st.plans[i].valid => {
+        st.clock += 1;
+        let pos = st.plans.iter().position(|e| e.alpha == *alpha && e.beta == *beta);
+        let valid = pos.and_then(|i| st.plans.get(i)).is_some_and(|e| e.valid);
+        let i = match pos {
+            Some(i) if valid => {
                 st.hits += 1;
                 i
             }
-            Some(i) => {
-                // Stale entry: weight-only churn moved `W` under the cached
-                // plan. Refresh it in place — no key clone, no eviction.
+            _ => {
                 let w = self.param_weight(alpha, beta);
                 if w.is_zero() {
-                    // Degenerate convention; the entry can never be
-                    // refreshed into a usable plan, so drop it.
-                    st.plans.remove(i);
-                    return crate::query::query_certain(&self.level1, 0);
+                    // Degenerate convention; not worth a cache slot (a stale
+                    // entry can never be refreshed into a usable plan).
+                    if let Some(i) = pos {
+                        st.plans.swap_remove(i);
+                    }
+                    return self.run(rng, &mut st.table, &mut st.scratch, None, out, map);
                 }
-                st.refreshes += 1;
-                // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
-                st.plans[i].plan = self.make_plan(w);
-                // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
-                st.plans[i].valid = true;
-                i
-            }
-            None => {
-                let w = self.param_weight(alpha, beta);
-                if w.is_zero() {
-                    // Degenerate convention; not worth a cache slot.
-                    return crate::query::query_certain(&self.level1, 0);
+                let accel = QueryAccel::new(&w, !self.force_exact);
+                if let Some(i) = pos {
+                    // Stale entry: weight-only churn moved `W` under the
+                    // cached plan. Refresh it in place — no key clone.
+                    st.refreshes += 1;
+                    if let Some(e) = st.plans.get_mut(i) {
+                        (e.w, e.accel, e.valid) = (w, accel, true);
+                    }
+                    i
+                } else {
+                    st.misses += 1;
+                    let entry = PlanEntry {
+                        alpha: alpha.clone(),
+                        beta: beta.clone(),
+                        w,
+                        accel,
+                        valid: true,
+                        last_use: 0,
+                    };
+                    let lru = st.plans.iter().enumerate().min_by_key(|(_, e)| e.last_use);
+                    match lru.map(|(i, _)| i) {
+                        Some(i) if st.plans.len() >= PLAN_CACHE => {
+                            if let Some(slot) = st.plans.get_mut(i) {
+                                *slot = entry;
+                            }
+                            i
+                        }
+                        _ => {
+                            st.plans.push(entry);
+                            st.plans.len() - 1
+                        }
+                    }
                 }
-                st.misses += 1;
-                let plan = self.make_plan(w);
-                if st.plans.len() >= PLAN_CACHE {
-                    st.plans.remove(0);
-                }
-                st.plans.push(PlanEntry {
-                    alpha: alpha.clone(),
-                    beta: beta.clone(),
-                    plan,
-                    valid: true,
-                });
-                st.plans.len() - 1
             }
         };
-        // pss-lint: allow(no-bare-index) — idx is position() over st.plans or len() - 1 after a push
-        let plan = &st.plans[idx].plan;
-        let _guard = self.force_exact.then(randvar::exact_mode_guard);
-        let mut frame = QueryFrame {
-            rng,
-            w: &plan.w,
-            accel: plan.accel,
-            table: &mut st.table,
-            final_mode: self.final_mode,
-        };
-        query_level1_planned(&self.level1, &mut frame, &plan.th, &plan.p0)
-    }
-
-    /// Builds the cached plan for a non-zero total weight `w`.
-    fn make_plan(&self, w: Ratio) -> QueryPlan {
-        let n = self.level1.n_positive.max(1);
-        let th = thresholds(&w, n, self.level1.group_width);
-        let p0 = Ratio::from_u128s(1, (n as u128) * (n as u128));
-        let accel = QueryAccel::new(&w, !self.force_exact);
-        QueryPlan { w, accel, th, p0 }
+        let Some(e) = st.plans.get_mut(i) else { return };
+        e.last_use = st.clock;
+        self.run(rng, &mut st.table, &mut st.scratch, Some((&e.w, e.accel)), out, map);
     }
 
     /// Answers a PSS query against an externally supplied total weight `w`
-    /// on a shared receiver: each item `x` is included independently with
-    /// probability `min(w(x)/w, 1)`. This is the `(0, W)` form the hierarchy
-    /// uses internally (§4.1); it also lets several samplers share one global
-    /// `W` (the de-amortized structure queries both migration halves with
-    /// the union's `W`). `w = 0` follows the same convention as
-    /// [`DpssSampler::query_in`].
-    pub fn query_with_total_in(&self, ctx: &mut QueryCtx, w: &Ratio) -> Vec<ItemId> {
-        if w.is_zero() {
-            return crate::query::query_certain(&self.level1, 0);
-        }
+    /// and its accelerators (`None` iff `w = 0`, which follows the
+    /// [`DpssSampler::query_in`] convention): each item `x` is included
+    /// independently with probability `min(w(x)/w, 1)`. This is how several
+    /// samplers share one global `W` — the de-amortized structure queries
+    /// both migration halves with the union's `W`, building its
+    /// accelerators once.
+    pub(crate) fn query_with_plan<T>(
+        &self,
+        ctx: &mut QueryCtx,
+        w: &Ratio,
+        accel: Option<QueryAccel>,
+        out: &mut Vec<T>,
+        map: impl Fn(ItemId) -> T,
+    ) {
         let (rng, st) = self.plan_state(ctx);
-        let _guard = self.force_exact.then(randvar::exact_mode_guard);
-        let mut frame = QueryFrame {
-            rng,
-            w,
-            accel: QueryAccel::new(w, !self.force_exact),
-            table: &mut st.table,
-            final_mode: self.final_mode,
+        self.run(rng, &mut st.table, &mut st.scratch, accel.map(|a| (w, a)), out, map);
+    }
+
+    /// Runs the level-1 query under a plan's `W` and accelerators (all
+    /// positive items when there is no plan, i.e. `W = 0`), in force-exact
+    /// mode if configured.
+    fn run<T>(
+        &self,
+        rng: &mut CtxRng,
+        table: &mut LookupTable,
+        scratch: &mut QueryScratch,
+        plan: Option<(&Ratio, QueryAccel)>,
+        out: &mut Vec<T>,
+        map: impl Fn(ItemId) -> T,
+    ) {
+        let Some((w, accel)) = plan else {
+            crate::query::query_certain(&self.level1, 0, &mut |x| out.push(map(x)));
+            return;
         };
-        query_level1(&self.level1, &mut frame)
+        let _guard = self.force_exact.then(randvar::exact_mode_guard);
+        let final_mode = self.final_mode;
+        let mut frame = QueryFrame { rng, w, accel, table, final_mode, scratch };
+        query_level1(&self.level1, &mut frame, out, map);
     }
 
     // -- Legacy convenience surface (internal default context) --------------
@@ -799,12 +823,6 @@ impl DpssSampler {
     /// `α = a.0/a.1`, `β = b.0/b.1`.
     pub fn query_rational(&mut self, a: (u64, u64), b: (u64, u64)) -> Vec<ItemId> {
         self.query(&Ratio::from_u64s(a.0, a.1), &Ratio::from_u64s(b.0, b.1))
-    }
-
-    /// Legacy convenience: [`DpssSampler::query_with_total_in`] over the
-    /// internal default context.
-    pub fn query_with_total(&mut self, w: &Ratio) -> Vec<ItemId> {
-        self.with_default_ctx(|s, ctx| s.query_with_total_in(ctx, w))
     }
 
     /// Validates every structural invariant (test/debug hook; O(n)).
@@ -906,5 +924,36 @@ impl SpaceUsage for DpssSampler {
         let table =
             self.ctx.state_ref::<PlanState>(self.instance).map_or(0, |st| st.table.space_words());
         self.level1.space_words() + table + self.journal.space_words() + 6
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_off_parameters_do_not_flush_the_hot_plans() {
+        let weights: Vec<u64> = (1..=256u64).collect();
+        let (s, _) = DpssSampler::from_weights(&weights, 5);
+        let mut ctx = QueryCtx::new(9);
+        let hot: Vec<Ratio> = (0..16u64).map(|k| Ratio::from_u64s(1, k + 2)).collect();
+        let zero = Ratio::zero();
+        for a in &hot {
+            let _ = s.query_in(&mut ctx, a, &zero);
+        }
+        assert_eq!(s.plan_cache_stats_in(&ctx), (0, 16, 0));
+        // Three hot queries to one one-off, as in a serving mix: the one-offs
+        // overflow the cache many times over, but every hot key is reused
+        // within 22 lookups, so LRU keeps all 16 resident.
+        let (mut hot_q, mut fresh_q) = (0u64, 0u64);
+        for round in 0..400u64 {
+            let _ = s.query_in(&mut ctx, &hot[(round % 16) as usize], &zero);
+            hot_q += 1;
+            if round % 3 == 2 {
+                let _ = s.query_in(&mut ctx, &Ratio::from_u64s(1, 1000 + round), &zero);
+                fresh_q += 1;
+            }
+        }
+        assert_eq!(s.plan_cache_stats_in(&ctx), (hot_q, 16 + fresh_q, 0));
     }
 }

@@ -1409,14 +1409,7 @@ impl LevelView for Level1 {
     }
     fn weight_f64_bounds(&self, id: ItemId) -> (f64, f64) {
         // pss-lint: allow(no-panic-paths) — ids handed to weight_f64_bounds come from this level's own bucket lists, which hold only live items
-        let w = self.slab.weight(id).expect("live item");
-        // u64 → f64 is correctly rounded; exact below 2^53, else nudge.
-        let f = w as f64;
-        if w <= 1 << 53 {
-            (f, f)
-        } else {
-            (f.next_down(), f.next_up())
-        }
+        randvar::u128_f64_bounds(u128::from(self.slab.weight(id).expect("live item")))
     }
 }
 

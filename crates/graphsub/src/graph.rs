@@ -65,6 +65,10 @@ pub struct DynGraph<B: PssBackend = DpssSampler> {
     nodes: Vec<NodeState<B>>,
     /// (u, v) → (item in u's out-sampler, item in v's in-sampler, weight).
     edges: HashMap<(NodeId, NodeId), (Handle, Handle, u64)>,
+    /// Reused query output buffer of the neighbor samplers.
+    sampled: Vec<Handle>,
+    /// The neighbor samplers' query parameters `(α, β) = (1, 0)`.
+    unit: (Ratio, Ratio),
 }
 
 impl<B: SeedableBackend> DynGraph<B> {
@@ -75,6 +79,8 @@ impl<B: SeedableBackend> DynGraph<B> {
                 .map(|i| NodeState::new(seed.wrapping_add(i as u64 * 2654435761)))
                 .collect(),
             edges: HashMap::new(),
+            sampled: Vec::new(),
+            unit: (Ratio::one(), Ratio::zero()),
         }
     }
 
@@ -153,22 +159,18 @@ impl<B: SeedableBackend> DynGraph<B> {
     /// node's context keeps this method `&mut`.
     pub fn sample_in_neighbors(&mut self, v: NodeId) -> Vec<NodeId> {
         let st = &mut self.nodes[v as usize];
-        st.in_sampler
-            .query(&mut st.ctx, &Ratio::one(), &Ratio::zero())
-            .into_iter()
-            .map(|item| st.in_edges[&item])
-            .collect()
+        self.sampled.clear();
+        st.in_sampler.query_into(&mut st.ctx, &self.unit.0, &self.unit.1, &mut self.sampled);
+        self.sampled.iter().map(|item| st.in_edges[item]).collect()
     }
 
     /// Samples a subset of `u`'s out-neighbors, each included independently
     /// with probability `A_uv / d_out(u)` (the Appendix A.2 push probability).
     pub fn sample_out_neighbors(&mut self, u: NodeId) -> Vec<NodeId> {
         let st = &mut self.nodes[u as usize];
-        st.out_sampler
-            .query(&mut st.ctx, &Ratio::one(), &Ratio::zero())
-            .into_iter()
-            .map(|item| st.out_edges[&item])
-            .collect()
+        self.sampled.clear();
+        st.out_sampler.query_into(&mut st.ctx, &self.unit.0, &self.unit.1, &mut self.sampled);
+        self.sampled.iter().map(|item| st.out_edges[item]).collect()
     }
 
     /// In-degree of `v`.

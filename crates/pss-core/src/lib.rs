@@ -138,8 +138,18 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
     fn delete(&mut self, handle: Handle) -> bool;
 
     /// Answers one PSS query with parameters `(α, β)`, drawing randomness
-    /// (and any cached read-path state) from `ctx`.
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle>;
+    /// (and any cached read-path state) from `ctx`, and appends the sampled
+    /// handles to `out` (which is not cleared). A caller that reuses `out`
+    /// across queries pays no allocation for the result once it has grown.
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>);
+
+    /// Answers one PSS query with parameters `(α, β)` into a fresh vector —
+    /// [`PssBackend::query_into`] with a new buffer.
+    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
+        let mut out = Vec::new();
+        self.query_into(ctx, alpha, beta, &mut out);
+        out
+    }
 
     /// Answers a batch of PSS queries, one independent result per `(α, β)`
     /// pair, in order.

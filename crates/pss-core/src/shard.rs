@@ -143,15 +143,22 @@ mod tests {
         fn delete(&mut self, handle: Handle) -> bool {
             self.store.delete(handle)
         }
-        fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, _beta: &Ratio) -> Vec<Handle> {
+        fn query_into(
+            &self,
+            ctx: &mut QueryCtx,
+            alpha: &Ratio,
+            _beta: &Ratio,
+            out: &mut Vec<Handle>,
+        ) {
             // Keep each item with probability w/(α den-scaled total) — the
             // exactness doesn't matter here, only determinism in the stream.
             let scale = alpha.to_f64_lossy().max(1e-9) * self.store.total().max(1) as f64;
-            self.store
-                .iter_live()
-                .filter(|&(_, w)| ctx.rng().gen::<f64>() < w as f64 / scale)
-                .map(|(h, _)| h)
-                .collect()
+            out.extend(
+                self.store
+                    .iter_live()
+                    .filter(|&(_, w)| ctx.rng().gen::<f64>() < w as f64 / scale)
+                    .map(|(h, _)| h),
+            );
         }
         fn len(&self) -> usize {
             self.store.len()

@@ -27,6 +27,7 @@
 //! `force_exact` mode of the samplers); the agreement test suite uses it to
 //! check the two implementations against each other.
 
+use bignum::{BigUint, Interval, Ratio};
 use rand::RngCore;
 use std::cell::Cell;
 
@@ -174,12 +175,6 @@ impl Bits64 {
         }
     }
 
-    /// Draws one word and classifies it.
-    #[inline]
-    pub fn decide<R: RngCore>(&self, rng: &mut R) -> FastDecision {
-        self.classify(rng.next_u64())
-    }
-
     /// Debug-only soundness check: asserts the bracket really contains
     /// `⌊(num/den)·2^64⌋` (with `num/den` clamped to 1). Compiled away in
     /// release builds; the query layer calls this next to every fast coin so
@@ -193,6 +188,28 @@ impl Bits64 {
                 self.lo,
                 self.hi,
                 exact.lo,
+            );
+        }
+    }
+
+    /// Debug-only soundness check against an interval `[a, b]` known to
+    /// contain `p`: asserts `lo ≤ ⌊b·2^64⌋` and `hi + 1 ≥ ⌊a·2^64⌋`, which
+    /// every bracket of `p` satisfies. For probabilities with no small exact
+    /// form, such as `(1−p)^{2^i}`.
+    pub fn debug_validate_interval(&self, iv: &Interval) {
+        if cfg!(debug_assertions) {
+            let word = |d: &bignum::Dyadic| {
+                let e = d.exp() + 64;
+                let m =
+                    if e >= 0 { d.mantissa().shl(e as u64) } else { d.mantissa().shr((-e) as u64) };
+                m.to_u64().unwrap_or(u64::MAX)
+            };
+            let (a, b) = (word(iv.lo()), word(iv.hi()));
+            assert!(
+                self.lo <= b && self.hi.saturating_add(1) >= a,
+                "Bits64 bracket [{}, {}] misses the interval [{a}, {b}]",
+                self.lo,
+                self.hi,
             );
         }
     }
@@ -210,7 +227,20 @@ pub fn ber_bits_with<R: RngCore>(
     bits: &Bits64,
     exact: impl FnOnce(&mut R, u64) -> bool,
 ) -> bool {
-    match bits.decide(rng) {
+    let u = rng.next_u64();
+    ber_bits_from_word(rng, bits, u, exact)
+}
+
+/// [`ber_bits_with`] for a uniform word `u` the caller has already drawn
+/// (and possibly already tested against a cheaper certain-accept bound).
+#[inline]
+pub fn ber_bits_from_word<R: RngCore>(
+    rng: &mut R,
+    bits: &Bits64,
+    u: u64,
+    exact: impl FnOnce(&mut R, u64) -> bool,
+) -> bool {
+    match bits.classify(u) {
         FastDecision::Accept => true,
         FastDecision::Reject => false,
         FastDecision::Sliver(u) => exact(rng, u),
@@ -266,23 +296,233 @@ pub fn div_up(x_hi: f64, y_lo: f64) -> f64 {
     }
 }
 
-/// Certified bracket of `(base)^k` for a certified base bracket in `[0, 1]`:
-/// square-and-multiply with every intermediate nudged one ulp outward.
-pub fn pow_bounds_unit(mut b_lo: f64, mut b_hi: f64, mut k: u64) -> (f64, f64) {
-    debug_assert!((0.0..=1.0).contains(&b_lo) && (0.0..=1.0).contains(&b_hi));
-    let (mut lo, mut hi) = (1.0f64, 1.0f64);
-    while k > 0 {
-        if k & 1 == 1 {
-            lo = mul_down(lo, b_lo);
-            hi = mul_up(hi, b_hi).min(1.0);
+/// Certified bracket of `1 − p` from a bracket `p_lo ≤ p ≤ p_hi` of a
+/// probability (each bound nudged one ulp outward and clamped into `[0, 1]`).
+#[inline]
+pub(crate) fn one_minus_f64_bounds(p_lo: f64, p_hi: f64) -> (f64, f64) {
+    ((1.0 - p_hi).next_down().max(0.0), (1.0 - p_lo).next_up().clamp(0.0, 1.0))
+}
+
+/// Certified bracket of `2^k·x` from a bracket `x_lo ≤ x ≤ x_hi` of a
+/// non-negative `x` (`|k| ≤ 1023`, so `2^k` itself is an exact `f64`).
+#[inline]
+pub fn pow2_scaled_f64_bounds(x_lo: f64, x_hi: f64, k: i32) -> (f64, f64) {
+    debug_assert!((-1023..=1023).contains(&k), "2^{k} is not an exact f64");
+    let s = 2f64.powi(k);
+    (mul_down(x_lo, s), mul_up(x_hi, s))
+}
+
+/// Certified bracket of the integer `d` as an `f64` (`u128 → f64` is
+/// correctly rounded; exact below 2^53, nudged one ulp outward above).
+#[inline]
+pub fn u128_f64_bounds(d: u128) -> (f64, f64) {
+    let f = d as f64;
+    if d <= 1 << 53 {
+        (f, f)
+    } else {
+        (f.next_down(), f.next_up())
+    }
+}
+
+/// Certified bracket of `2^k / d` for a positive integer `d` (`k ≤ 1023`).
+pub(crate) fn pow2_over_int_f64_bounds(k: u32, d: u128) -> (f64, f64) {
+    let (d_lo, d_hi) = u128_f64_bounds(d);
+    let num = 2f64.powi(wordram::narrow::i32_of_u64(u64::from(k)));
+    (div_down(num, d_hi), div_up(num, d_lo))
+}
+
+/// Certified bracket of `(1−p)/(2−p)` from a bracket of `p ∈ [0, 1]` (the
+/// `n = 2` case of T-Geo). Numerator and denominator are bracketed
+/// independently, which only widens the result.
+pub(crate) fn one_minus_over_two_minus_f64_bounds(p_lo: f64, p_hi: f64) -> (f64, f64) {
+    let (b_lo, b_hi) = one_minus_f64_bounds(p_lo, p_hi);
+    // 2 − p = 1 + (1 − p).
+    let (d_lo, d_hi) = ((1.0 + b_lo).next_down(), (1.0 + b_hi).next_up());
+    (div_down(b_lo, d_hi), div_up(b_hi, d_lo).min(1.0))
+}
+
+/// Relative widening of a plain product of at most 64 unit factors:
+/// 2⁻⁴⁵, four times the worst-case rounding drift of 63 multiplies.
+const PRODUCT_SLACK: f64 = 2.842_170_943_040_401e-14;
+
+/// Smallest plain product [`WordProb::pow_one_minus_f64_bounds`] widens
+/// relatively: 2⁻¹⁰⁰⁰, above the subnormal range.
+const PRODUCT_FLOOR: f64 = 9.332_636_185_032_189e-302;
+
+/// What a [`WordProb`] is exactly, kept as a recipe until it is needed.
+#[derive(Clone, Copy, Debug)]
+enum Source<'a> {
+    /// A borrowed exact rational.
+    Ratio(&'a Ratio),
+    /// `2^k / w` for an exact rational `w > 0`.
+    Pow2Over(u64, &'a Ratio),
+    /// `2^k / d` for a positive integer `d`.
+    Pow2OverInt(u32, u128),
+}
+
+/// A probability `p ∈ (0, 1]` in word form: a certified `f64` bracket, the
+/// exact exponent `⌊log2 p⌋`, and a recipe for the exact value that is only
+/// turned into a [`Ratio`] when a coin lands in the sliver (or the fast path
+/// is off).
+///
+/// The bracket also carries a lazily extended table of `(1−p)^{2^i}`
+/// brackets, so every `(1−p)^k` bracket costs popcount(k) multiplies once
+/// the table has grown to `⌊log2 k⌋`. B-Geo, T-Geo, `Ber(p*)` and `Ber((1−p)^k)`
+/// are implemented once, as methods on this type; their `&Ratio` entry
+/// points ([`crate::bgeo`], [`crate::tgeo`], [`crate::ber_pstar`],
+/// [`crate::ber_pow_one_minus`]) wrap a [`WordProb::from_ratio`].
+#[derive(Clone, Debug)]
+pub struct WordProb<'a> {
+    lo: f64,
+    hi: f64,
+    floor_log2: i64,
+    source: Source<'a>,
+    /// The materialized exact value (sliver or force-exact mode only).
+    exact: Option<Ratio>,
+    /// `pow[i]` brackets `(1−p)^{2^i}` for `i < pow_len`.
+    pow: [(f64, f64); 64],
+    pow_len: usize,
+}
+
+impl<'a> WordProb<'a> {
+    fn with(lo: f64, hi: f64, floor_log2: i64, source: Source<'a>) -> Self {
+        let mut wp =
+            WordProb { lo, hi, floor_log2, source, exact: None, pow: [(1.0, 1.0); 64], pow_len: 0 };
+        if cfg!(debug_assertions) {
+            let (lo, hi, e) = (wp.lo, wp.hi, wp.floor_log2);
+            let p = wp.exact().clone();
+            Bits64::from_f64_bounds(lo, hi).debug_validate(p.num(), p.den());
+            assert_eq!(e, p.floor_log2(), "word probability exponent disagrees with exact value");
         }
-        k >>= 1;
-        if k > 0 {
-            b_lo = mul_down(b_lo, b_lo);
-            b_hi = mul_up(b_hi, b_hi).min(1.0);
+        wp
+    }
+
+    /// The word form of an exact rational `p > 0` (bracket and exponent
+    /// derived from its parts).
+    pub fn from_ratio(p: &'a Ratio) -> Self {
+        assert!(!p.is_zero(), "word probability needs p > 0");
+        let (lo, hi) = p.to_f64_bounds();
+        Self::with(lo, hi, p.floor_log2(), Source::Ratio(p))
+    }
+
+    /// `p = 2^k / w` from certified bounds `winv` of `1/w` and the exact
+    /// `⌈log2 w⌉`: the bracket is `2^k·winv` and `⌊log2 p⌋ = k − ⌈log2 w⌉`,
+    /// with no multi-word arithmetic.
+    pub fn pow2_over(k: u64, w: &'a Ratio, winv: (f64, f64), w_ceil_log2: i64) -> Self {
+        let (lo, hi) = pow2_scaled_f64_bounds(winv.0, winv.1, wordram::narrow::i32_of_u64(k));
+        Self::with(lo, hi, k as i64 - w_ceil_log2, Source::Pow2Over(k, w))
+    }
+
+    /// `p = 2^k / d` for an integer `d ≥ 2^k` (the `p₀ = 1/N²` and `2/m²`
+    /// of Algorithm 2).
+    pub fn pow2_over_int(k: u32, d: u128) -> Self {
+        assert!(d > 0, "word probability needs a positive denominator");
+        let (lo, hi) = pow2_over_int_f64_bounds(k, d);
+        let e = i64::from(k) - i64::from(wordram::bits::ceil_log2_u128(d));
+        Self::with(lo, hi, e, Source::Pow2OverInt(k, d))
+    }
+
+    /// The certified bracket `(lo, hi)` of `p`.
+    #[inline]
+    pub fn f64_bounds(&self) -> (f64, f64) {
+        (self.lo, self.hi)
+    }
+
+    /// `⌊log2 p⌋`, exact.
+    #[inline]
+    pub fn floor_log2(&self) -> i64 {
+        self.floor_log2
+    }
+
+    /// The exact value, materialized on first use.
+    pub fn exact(&mut self) -> &Ratio {
+        match self.source {
+            Source::Ratio(p) => p,
+            Source::Pow2Over(k, w) => self
+                .exact
+                .get_or_insert_with(|| Ratio::new(BigUint::pow2(k).mul(w.den()), w.num().clone())),
+            Source::Pow2OverInt(k, d) => self.exact.get_or_insert_with(|| {
+                Ratio::new(BigUint::pow2(u64::from(k)), BigUint::from_u128(d))
+            }),
         }
     }
-    (lo, hi)
+
+    /// Certified bracket of `(1−p)^k` from the `(1−p)^{2^i}` table:
+    /// popcount(k) multiplies once the table reaches `⌊log2 k⌋`.
+    ///
+    /// The table entries are certified; their products are formed in plain
+    /// round-to-nearest arithmetic and widened once by [`PRODUCT_SLACK`].
+    /// Each of the at most 63 rounded multiplies of factors in `[0, 1]` has
+    /// relative error ≤ 2⁻⁵³ while the running product stays normal, so the
+    /// plain products are within a factor `1 ± 2⁻⁴⁷` of the exact products
+    /// of the bounds. The running products only shrink, so a final value
+    /// ≥ [`PRODUCT_FLOOR`] shows every intermediate was normal; below it (a
+    /// power of order 2⁻¹⁰⁰⁰, which the variates' coins do not meet unless
+    /// `p` is within about 2⁻⁵⁰⁰ of 1) the products are redone with an
+    /// outward nudge after every multiply.
+    pub fn pow_one_minus_f64_bounds(&mut self, k: u64) -> (f64, f64) {
+        let need = 64 - k.leading_zeros() as usize;
+        while self.pow_len < need {
+            let entry = match self.pow_len.checked_sub(1).and_then(|i| self.pow.get(i)) {
+                None => one_minus_f64_bounds(self.lo, self.hi),
+                Some(&(lo, hi)) => (mul_down(lo, lo), mul_up(hi, hi).min(1.0)),
+            };
+            if cfg!(debug_assertions) {
+                self.debug_validate_pow(entry, self.pow_len as u64);
+            }
+            if let Some(slot) = self.pow.get_mut(self.pow_len) {
+                *slot = entry;
+            }
+            self.pow_len += 1;
+        }
+        let factors = || {
+            let mut bits = k;
+            std::iter::from_fn(move || {
+                let i = bits.checked_ilog2()?;
+                bits ^= wordram::bits::pow2_64(u64::from(i));
+                Some(i as usize)
+            })
+            .map(|i| self.pow.get(i).copied().unwrap_or((0.0, 1.0)))
+        };
+        let (lo, hi) = factors().fold((1.0f64, 1.0f64), |(lo, hi), (a, b)| (lo * a, hi * b));
+        if lo >= PRODUCT_FLOOR {
+            return (mul_down(lo, 1.0 - PRODUCT_SLACK), mul_up(hi, 1.0 + PRODUCT_SLACK).min(1.0));
+        }
+        factors().fold((1.0, 1.0), |(lo, hi), (a, b)| (mul_down(lo, a), mul_up(hi, b).min(1.0)))
+    }
+
+    /// Debug-build check of one `(1−p)^{2^i}` table entry against a
+    /// 64-bit-accurate interval of the exact power.
+    fn debug_validate_pow(&mut self, (lo, hi): (f64, f64), i: u64) {
+        use crate::lazy::ProbOracle;
+        let mut oracle =
+            crate::oracles::PowOneMinusOracle::from_ratio(self.exact(), wordram::bits::pow2_64(i));
+        Bits64::from_f64_bounds(lo, hi).debug_validate_interval(&oracle.bracket(64));
+    }
+
+    /// `true` iff `p·n ≥ 1`, decided from the exponents when they differ by
+    /// more than one, then from the bracket, and exactly only when the
+    /// bracket straddles 1 (or the fast path is off).
+    pub fn times_int_ge_one(&mut self, n: u64) -> bool {
+        assert!(n > 0, "p·n with n = 0");
+        let e = self.floor_log2 + i64::from(wordram::bits::floor_log2_u64(n));
+        if fast_path_enabled() {
+            if e >= 0 {
+                return true; // p·n ≥ 2^e·1 ≥ 1
+            }
+            if e <= -2 {
+                return false; // p·n < 2^{e+2} ≤ 1
+            }
+            let (n_lo, n_hi) = u128_f64_bounds(u128::from(n));
+            if mul_down(self.lo, n_lo) >= 1.0 {
+                return true;
+            }
+            if mul_up(self.hi, n_hi) < 1.0 {
+                return false;
+            }
+        }
+        self.exact().mul_big(&BigUint::from_u64(n)).cmp_int(1) != std::cmp::Ordering::Less
+    }
 }
 
 #[cfg(test)]
@@ -405,13 +645,64 @@ mod tests {
     }
 
     #[test]
-    fn pow_bounds_unit_brackets_truth() {
-        for (num, den, k) in [(1u64, 7u64, 20u64), (1, 1 << 20, 1 << 18), (3, 5, 1), (1, 2, 0)] {
-            let (b_lo, b_hi) = Ratio::from_u64s(den - num, den).to_f64_bounds();
-            let (lo, hi) = pow_bounds_unit(b_lo, b_hi.min(1.0), k);
+    fn product_constants_are_the_stated_powers_of_two() {
+        assert_eq!(PRODUCT_SLACK, 2f64.powi(-45));
+        assert_eq!(PRODUCT_FLOOR, 2f64.powi(-1000));
+    }
+
+    #[test]
+    fn pow_table_brackets_truth() {
+        // The last two cases fall below the floor and take the nudged path.
+        for (num, den, k) in [
+            (1u64, 7u64, 20u64),
+            (1, 1 << 20, 1 << 18),
+            (3, 5, 1),
+            (1, 2, 0),
+            (1, 2, 1010),
+            (3, 4, 505),
+        ] {
+            let p = Ratio::from_u64s(num, den);
+            let mut wp = WordProb::from_ratio(&p);
+            // Grow the table in two steps: the reused prefix must not move.
+            let small = wp.pow_one_minus_f64_bounds(k / 3);
+            let (lo, hi) = wp.pow_one_minus_f64_bounds(k);
+            assert_eq!(wp.pow_one_minus_f64_bounds(k / 3), small);
             let truth = (1.0 - num as f64 / den as f64).powi(k as i32);
             assert!(lo <= truth && truth <= hi, "({num}/{den})^{k}: [{lo}, {hi}] vs {truth}");
             assert!(hi - lo < 1e-10, "bracket too wide: {}", hi - lo);
+        }
+    }
+
+    #[test]
+    fn word_forms_agree_with_exact_values() {
+        // 2^k/w and 2^k/d: bracket and exponent match the exact rational.
+        let w = Ratio::from_u64s(1_000_003, 7);
+        let (winv_lo, winv_hi) = Ratio::f64_bounds_parts(w.den(), w.num());
+        for k in [0u64, 3, 17, 18] {
+            let mut wp = WordProb::pow2_over(k, &w, (winv_lo, winv_hi), w.ceil_log2());
+            let (lo, hi) = wp.f64_bounds();
+            let e = wp.floor_log2();
+            let p = wp.exact().clone();
+            assert_eq!(e, p.floor_log2());
+            Bits64::from_f64_bounds(lo, hi).debug_validate(p.num(), p.den());
+        }
+        for (k, d) in [(0u32, 1u128), (0, 9), (1, 25), (1, 1 << 60), (0, (1 << 100) + 7)] {
+            let mut wp = WordProb::pow2_over_int(k, d);
+            let e = wp.floor_log2();
+            assert_eq!(e, wp.exact().floor_log2(), "2^{k}/{d}");
+        }
+    }
+
+    #[test]
+    fn times_int_ge_one_matches_exact() {
+        for (num, den) in [(1u64, 8u64), (3, 17), (1, 3), (5, 11), (999, 1000)] {
+            let p = Ratio::from_u64s(num, den);
+            for n in [1u64, 2, 3, 4, 5, 8, 9, 16, 17, 1000] {
+                let exact = p.mul_big(&BigUint::from_u64(n)).cmp_int(1) != std::cmp::Ordering::Less;
+                assert_eq!(WordProb::from_ratio(&p).times_int_ge_one(n), exact, "{num}/{den}·{n}");
+                let _g = exact_mode_guard();
+                assert_eq!(WordProb::from_ratio(&p).times_int_ge_one(n), exact);
+            }
         }
     }
 

@@ -28,7 +28,11 @@
 //!   invokes the exact multi-word machinery on the ulp-wide sliver between
 //!   them, conditioned on the drawn word, so the output distribution is
 //!   bit-for-bit unchanged. [`exact_mode_guard`] restores the all-exact
-//!   behavior for agreement testing.
+//!   behavior for agreement testing;
+//! - [`WordProb`]: a probability in word form (certified `f64` bracket,
+//!   exact `⌊log2 p⌋`, exact value built lazily) carrying a
+//!   `(1−p)^{2^i}` power table — the one implementation of B-Geo, T-Geo,
+//!   `Ber(p*)` and `Ber((1−p)^k)`, which the `&Ratio` entry points wrap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,16 +49,15 @@ pub mod stats;
 mod tgeo;
 
 pub use bernoulli::{ber_rational, ber_rational_from_word, ber_rational_parts, ber_u128, ber_u64};
-pub use bgeo::{ber_pow_one_minus, bgeo, pow_one_minus_f64_bounds};
+pub use bgeo::{ber_pow_one_minus, bgeo};
 pub use binomial::{binomial, binomial_positions};
 pub use fast::{
-    ber_bits_rational, ber_bits_with, div_down, div_up, exact_mode_guard, fast_path_enabled,
-    mul_down, mul_up, pow_bounds_unit, sliver_hits, Bits64, ExactModeGuard, FastDecision,
+    ber_bits_from_word, ber_bits_rational, ber_bits_with, div_down, div_up, exact_mode_guard,
+    fast_path_enabled, mul_down, mul_up, pow2_scaled_f64_bounds, sliver_hits, u128_f64_bounds,
+    Bits64, ExactModeGuard, FastDecision, WordProb,
 };
 pub use lazy::{ber_oracle, ber_oracle_from_word, ProbOracle, RatioOracle};
 pub use naive::{bgeo_naive_scan, geo_f64, tgeo_inversion_f64, tgeo_naive_scan};
-pub use oracles::{
-    ber_pstar, pstar_f64_bounds, HalfRecipPStarOracle, PStarOracle, PowOneMinusOracle,
-};
+pub use oracles::{ber_pstar, HalfRecipPStarOracle, PStarOracle, PowOneMinusOracle};
 pub use rng::{uniform_below, uniform_below_u128, CountingRng};
 pub use tgeo::{tgeo, tgeo_paper_literal};

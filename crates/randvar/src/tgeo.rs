@@ -25,8 +25,11 @@
 //! experiments demonstrate the bias empirically. [`tgeo`] uses the exact
 //! rejection scheme above, which keeps every bound claimed by Theorem 1.3.
 
-use crate::bernoulli::ber_rational_parts;
+use crate::bernoulli::{ber_rational_from_word, ber_rational_parts};
 use crate::bgeo::{ber_pow_one_minus, bgeo};
+use crate::fast::{
+    ber_bits_with, fast_path_enabled, one_minus_over_two_minus_f64_bounds, Bits64, WordProb,
+};
 use crate::lazy::ber_oracle;
 use crate::oracles::HalfRecipPStarOracle;
 use crate::rng::uniform_below;
@@ -34,42 +37,66 @@ use bignum::Ratio;
 use rand::RngCore;
 use std::cmp::Ordering;
 
-/// Draws `T-Geo(p, n)` exactly in O(1) expected time (Theorem 1.3).
+/// Draws `T-Geo(p, n)` exactly in O(1) expected time (Theorem 1.3; see
+/// [`WordProb::tgeo`]).
 ///
 /// Requires `0 < p < 1` (exact rational) and `1 ≤ n < 2^62`.
 pub fn tgeo<R: RngCore>(rng: &mut R, p: &Ratio, n: u64) -> u64 {
-    assert!((1..(1 << 62)).contains(&n), "tgeo range out of bounds");
     assert!(!p.is_zero(), "tgeo needs p > 0");
-    assert!(p.cmp_int(1) == Ordering::Less, "tgeo needs p < 1");
+    WordProb::from_ratio(p).tgeo(rng, n)
+}
 
-    // Case 1: n ≤ 2.
-    if n == 1 {
-        return 1;
-    }
-    if n == 2 {
-        // Pr[2] = (1−p)/(2−p): with p = a/b, (1−p)/(2−p) = (b−a)/(2b−a).
-        let num = p.den().sub(p.num());
-        let den = p.den().mul_u64(2).sub(p.num());
-        return if ber_rational_parts(rng, &num, &den) { 2 } else { 1 };
-    }
+/// `(b − a, 2b − a)` for `p = a/b`: the exact parts of `(1−p)/(2−p)`.
+fn two_parts(p: &Ratio) -> (bignum::BigUint, bignum::BigUint) {
+    (p.den().sub(p.num()), p.den().mul_u64(2).sub(p.num()))
+}
 
-    let np = p.mul_big(&bignum::BigUint::from_u64(n));
-    if np.cmp_int(1) != Ordering::Less {
-        // Case 2.1: n·p ≥ 1 — rejection from B-Geo(p, n+1).
-        loop {
-            let i = bgeo(rng, p, n + 1);
-            if i <= n {
-                return i;
+impl WordProb<'_> {
+    /// Draws `T-Geo(p, n)` exactly in O(1) expected time (Theorem 1.3).
+    ///
+    /// Requires `p < 1` (checked exactly, as `⌊log2 p⌋ < 0`) and
+    /// `1 ≤ n < 2^62`.
+    pub fn tgeo<R: RngCore>(&mut self, rng: &mut R, n: u64) -> u64 {
+        assert!((1..(1 << 62)).contains(&n), "tgeo range out of bounds");
+        assert!(self.floor_log2() < 0, "tgeo needs p < 1");
+
+        // Case 1: n ≤ 2.
+        if n == 1 {
+            return 1;
+        }
+        if n == 2 {
+            // Pr[2] = (1−p)/(2−p): with p = a/b, (1−p)/(2−p) = (b−a)/(2b−a).
+            let two = if fast_path_enabled() {
+                let (lo, hi) = self.f64_bounds();
+                let (lo, hi) = one_minus_over_two_minus_f64_bounds(lo, hi);
+                ber_bits_with(rng, &Bits64::from_f64_bounds(lo, hi), |rng, u| {
+                    let (num, den) = two_parts(self.exact());
+                    ber_rational_from_word(rng, &num, &den, u)
+                })
+            } else {
+                let (num, den) = two_parts(self.exact());
+                ber_rational_parts(rng, &num, &den)
+            };
+            return if two { 2 } else { 1 };
+        }
+
+        if self.times_int_ge_one(n) {
+            // Case 2.1: n·p ≥ 1 — rejection from B-Geo(p, n+1).
+            loop {
+                let i = self.bgeo(rng, n + 1);
+                if i <= n {
+                    return i;
+                }
             }
         }
-    }
 
-    // Case 2.2: n·p < 1 — uniform proposal + Ber((1−p)^{i−1}) acceptance.
-    // P[return i] ∝ (1/n)·(1−p)^{i−1} ∝ pmf(i); acceptance rate p* ≥ 1 − 1/e.
-    loop {
-        let i = 1 + uniform_below(rng, n);
-        if ber_pow_one_minus(rng, p, i - 1) {
-            return i;
+        // Case 2.2: n·p < 1 — uniform proposal + Ber((1−p)^{i−1}) acceptance.
+        // P[return i] ∝ (1/n)·(1−p)^{i−1} ∝ pmf(i); acceptance rate p* ≥ 1 − 1/e.
+        loop {
+            let i = 1 + uniform_below(rng, n);
+            if self.ber_pow_one_minus(rng, i - 1) {
+                return i;
+            }
         }
     }
 }

@@ -206,8 +206,14 @@ mod tests {
         fn delete(&mut self, handle: pss_core::Handle) -> bool {
             self.store.delete(handle)
         }
-        fn query(&self, _ctx: &mut QueryCtx, _alpha: &Ratio, _beta: &Ratio) -> Vec<Handle> {
-            self.store.iter_live().map(|(h, _)| h).collect()
+        fn query_into(
+            &self,
+            _ctx: &mut QueryCtx,
+            _alpha: &Ratio,
+            _beta: &Ratio,
+            out: &mut Vec<Handle>,
+        ) {
+            out.extend(self.store.iter_live().map(|(h, _)| h));
         }
         fn len(&self) -> usize {
             self.store.len()

@@ -1,17 +1,21 @@
-//! Proof that the HALT update cascade is allocation-free in steady state.
+//! Proof that the HALT update cascade and the warm query path are
+//! allocation-free in steady state.
 //!
 //! The arena/pool memory layout exists so that `insert`/`delete`/`set_weight`
 //! never touch the global allocator once the structure has warmed up to its
 //! high-water size. This test installs a counting `GlobalAlloc` and asserts
 //! the allocation counter does not move across a 100k-op churn loop (plus a
-//! 50k-op `set_weight` storm) on both HALT backends.
+//! 50k-op `set_weight` storm) on both HALT backends, nor across a loop of
+//! `query_into` calls on hot `(α, β)` pairs into a reused buffer.
 //!
 //! The counting allocator is the workspace's one sanctioned use of `unsafe`
 //! (see the workspace lint table): `GlobalAlloc` is an unsafe trait, and
 //! delegating to `System` verbatim adds no behavior beyond the counter.
 #![allow(unsafe_code)]
 
+use bignum::Ratio;
 use dpss::{DeamortizedDpss, DpssSampler, ItemId};
+use pss_core::{PssBackend, QueryCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,6 +56,8 @@ const N: usize = 4096;
 const WARMUP: usize = 60_000;
 const CHURN: usize = 100_000;
 const SET_WEIGHT: usize = 50_000;
+const WARM_QUERIES: usize = 2_000;
+const QUERIES: usize = 10_000;
 
 /// Weights uniform over 16 weight buckets `[2^k, 2^{k+1})`, `k < 16`: each
 /// bucket's occupancy concentrates around `N/16 = 256` — itself a power of
@@ -113,6 +119,41 @@ fn steady_state_updates_do_not_allocate() {
         "halt: {halt_allocs} heap allocations across {CHURN} churn + {SET_WEIGHT} set_weight ops"
     );
     s.validate();
+
+    // ---- Warm HALT queries ------------------------------------------------
+    // Two hot pairs (one with β > 0) alternate, so every query hits the
+    // context's plan cache; the lookup-table rows and the recursion's
+    // scratch buffers reach their high-water mark during the warmup, and the
+    // output buffer is reserved for the whole item set. Debug builds check
+    // every word-level bracket against exact bignum values, which allocates
+    // by design, so the zero is asserted in release builds.
+    let hot = [
+        (Ratio::from_u64s(1, 64), Ratio::zero()),
+        (Ratio::from_u64s(1, 128), Ratio::from_int(1 << 20)),
+    ];
+    let mut ctx = QueryCtx::new(0xA110E);
+    let mut out = Vec::with_capacity(N);
+    for i in 0..WARM_QUERIES {
+        let (a, b) = &hot[i % 2];
+        out.clear();
+        s.query_into(&mut ctx, a, b, &mut out);
+    }
+    let mut sampled = 0;
+    let before = allocs();
+    for i in 0..QUERIES {
+        let (a, b) = &hot[i % 2];
+        out.clear();
+        s.query_into(&mut ctx, a, b, &mut out);
+        sampled += out.len();
+    }
+    let query_allocs = allocs() - before;
+    assert!(sampled > QUERIES, "hot queries sampled only {sampled} items");
+    if !cfg!(debug_assertions) {
+        assert_eq!(
+            query_allocs, 0,
+            "halt: {query_allocs} heap allocations across {QUERIES} warm query_into calls"
+        );
+    }
 
     // ---- De-amortized HALT ------------------------------------------------
     let mut rng = SmallRng::seed_from_u64(0xA110D);
