@@ -654,12 +654,12 @@ mod tests {
 
     #[test]
     fn halt_backend_marginals() {
-        marginal_check(&mut DpssSampler::new(4), &[1, 5, 25, 125, 625], 40_000);
+        marginal_check(&mut DpssSampler::new(), &[1, 5, 25, 125, 625], 40_000);
     }
 
     #[test]
     fn deamortized_backend_marginals() {
-        marginal_check(&mut DeamortizedDpss::new(8), &[1, 5, 25, 125, 625], 40_000);
+        marginal_check(&mut DeamortizedDpss::new(), &[1, 5, 25, 125, 625], 40_000);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use bench::WeightDist;
 use bignum::Ratio;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpss::{DpssSampler, FinalLevelMode};
+use dpss::{DpssSampler, FinalLevelMode, QueryCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -18,10 +18,11 @@ fn bench_final_mode(c: &mut Criterion) {
     let weights = WeightDist::Zipf.weights(n, 9);
     let alpha = Ratio::one();
     for (mode, label) in [(FinalLevelMode::Lookup, "lookup"), (FinalLevelMode::Direct, "direct")] {
-        let (mut s, _) = DpssSampler::from_weights(&weights, 91);
+        let (mut s, _) = DpssSampler::from_weights(&weights);
         s.set_final_mode(mode);
+        let mut ctx = QueryCtx::new(91);
         g.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| s.query(&alpha, &Ratio::zero()));
+            b.iter(|| s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         });
     }
     g.finish();
@@ -36,7 +37,7 @@ fn bench_rebuild_factor(c: &mut Criterion) {
     for k in [2usize, 4, 8] {
         g.bench_function(BenchmarkId::from_parameter(format!("k={k}")), |b| {
             b.iter(|| {
-                let mut s = DpssSampler::new(97);
+                let mut s = DpssSampler::new();
                 s.set_rebuild_factor(k);
                 let mut rng = SmallRng::seed_from_u64(101);
                 for _ in 0..(1usize << 14) {

@@ -26,7 +26,7 @@ fn make_stream(kind: StreamKind, n_initial: usize, n_ops: usize) -> UpdateStream
 }
 
 fn replay_halt(stream: &UpdateStream) -> usize {
-    let mut s = DpssSampler::new(5);
+    let mut s = DpssSampler::new();
     let mut live = LiveSet::new();
     for &w in &stream.initial {
         live.insert(s.insert(w));
@@ -57,7 +57,7 @@ fn replay_halt(stream: &UpdateStream) -> usize {
 }
 
 fn replay_deamortized(stream: &UpdateStream) -> usize {
-    let mut s = DeamortizedDpss::new(5);
+    let mut s = DeamortizedDpss::new();
     let mut live = LiveSet::new();
     for &w in &stream.initial {
         live.insert(s.insert(w));

@@ -2,7 +2,7 @@
 //!
 //! Measures insert / churn / delete / set_weight / query / batched-query
 //! throughput for every backend in the roster through the `pss-core` facade
-//! and writes `BENCH_core.json` (see `--out`), validated against schema v6
+//! and writes `BENCH_core.json` (see `--out`), validated against schema v7
 //! right after writing, so successive PRs accumulate a performance
 //! trajectory that scripts can diff and whose shape cannot silently drift.
 //! Queries run through the shared-read surface (`&self` + `QueryCtx`); the
@@ -207,19 +207,19 @@ fn measure(seed: u64, n: usize, quick: bool) -> Vec<Row> {
 /// misses and 48 hits; one reweight between rounds is weight-only churn, so
 /// the journal-revalidated cache *refreshes* all 16 entries in place
 /// (keeping keys and the memoized lookup table) instead of re-missing —
-/// expect (48, 16, 16). Uses the legacy convenience surface, whose internal
-/// default context the stats read.
+/// expect (48, 16, 16).
 fn plan_cache_probe(seed: u64, n: usize, weights: &[u64]) -> (u64, u64, u64) {
-    let (mut s, ids) = DpssSampler::from_weights(weights, seed);
+    let (mut s, ids) = DpssSampler::from_weights(weights);
+    let mut ctx = QueryCtx::new(seed);
     let batch: Vec<(Ratio, Ratio)> =
         (0..16u64).map(|i| (Ratio::from_u64s(1, 8 + i), Ratio::zero())).collect();
     for _ in 0..4 {
-        let _ = DpssSampler::query_many(&mut s, &batch);
+        let _ = PssBackend::query_many(&s, &mut ctx, &batch);
     }
     // One mutation, one more batch: 16 in-place refreshes (not misses).
     let _ = DpssSampler::set_weight(&mut s, ids[n / 2], 12345);
-    let _ = DpssSampler::query_many(&mut s, &batch);
-    s.plan_cache_stats()
+    let _ = PssBackend::query_many(&s, &mut ctx, &batch);
+    s.plan_cache_stats_in(&ctx)
 }
 
 /// Replays the mixed update+query regime (reweight-dominated churn, one
@@ -260,7 +260,7 @@ fn fifo_window_probe(seed: u64, n: usize, quick: bool) -> (usize, f64, f64) {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xF1F0);
     let dist = WeightDist::Uniform { lo: 1, hi: 1 << 30 };
     let stream = UpdateStream::generate(StreamKind::Fifo { window }, 0, ops, dist, &mut rng);
-    let mut backend = DpssSampler::new(seed ^ 0xF1F1);
+    let mut backend = DpssSampler::new();
     let mut ctx = QueryCtx::new(seed ^ 0xF1F2);
     let (report, timing) = replay_stream_timed(&mut backend, &mut ctx, &stream, None);
     let ops_per_sec = (report.inserts + report.deletes) as f64 / timing.ops.as_secs_f64();
@@ -279,7 +279,7 @@ fn decayed_probe(seed: u64, n: usize, quick: bool) -> (usize, f64, f64) {
     let dist = WeightDist::Uniform { lo: 1 << 10, hi: 1 << 30 };
     let kind = StreamKind::Decayed { insert_permille: 520, scale_every, num: 1, den: 2 };
     let stream = UpdateStream::generate(kind, n / 4, ops, dist, &mut rng);
-    let mut backend = DpssSampler::new(seed ^ 0xDECB);
+    let mut backend = DpssSampler::new();
     let mut ctx = QueryCtx::new(seed ^ 0xDECC);
     let (report, timing) = replay_stream_timed(&mut backend, &mut ctx, &stream, None);
     // Count only op-phase work: the initial load's inserts belong to setup.
@@ -296,7 +296,7 @@ fn decayed_probe(seed: u64, n: usize, quick: bool) -> (usize, f64, f64) {
 fn query_par_probe(seed: u64, n: usize, threads: usize, quick: bool) -> (usize, f64, f64) {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9A7);
     let weights = WeightDist::Zipf { s_num: 2, s_den: 1, w_max: 1 << 30 }.generate(n, &mut rng);
-    let (s, _) = DpssSampler::from_weights(&weights, seed ^ 0x9A8);
+    let (s, _) = DpssSampler::from_weights(&weights);
     let batch_len = if quick { 64u64 } else { 256 };
     let batch: Vec<(Ratio, Ratio)> =
         (0..batch_len).map(|i| (Ratio::from_u64s(1, 8 + (i % 16)), Ratio::zero())).collect();
@@ -376,7 +376,7 @@ fn bulk_load_probe(seed: u64) -> BulkLoad {
 
     // Untimed warmups: one build per path, dropped, so every timed run
     // below draws pre-faulted blocks from the allocator.
-    let _ = std::hint::black_box(DpssSampler::from_weights(&large, seed ^ 0xB05D));
+    let _ = std::hint::black_box(DpssSampler::from_weights(&large));
     let _ = std::hint::black_box({
         let mut b = baselines::boxed::<DpssSampler>(seed ^ 0xB06D);
         let mut hs: Vec<Handle> = Vec::with_capacity(n_large);
@@ -409,15 +409,15 @@ fn bulk_load_probe(seed: u64) -> BulkLoad {
     }
 
     let mut s_secs = f64::INFINITY;
-    for r in 0..RUNS {
-        let (built, secs) = time(|| DpssSampler::from_weights(&small, seed ^ 0xB02D ^ r as u64));
+    for _ in 0..RUNS {
+        let (built, secs) = time(|| DpssSampler::from_weights(&small));
         std::hint::black_box(&built);
         s_secs = s_secs.min(secs);
     }
     let mut l_secs = f64::INFINITY;
     let mut kept = None;
-    for r in 0..RUNS {
-        let (built, secs) = time(|| DpssSampler::from_weights(&large, seed ^ 0xB03D ^ r as u64));
+    for _ in 0..RUNS {
+        let (built, secs) = time(|| DpssSampler::from_weights(&large));
         l_secs = l_secs.min(secs);
         kept = Some(built);
     }
@@ -480,7 +480,7 @@ fn snapshot_probe(seed: u64) -> SnapshotStats {
     let tail = 4096usize;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5A9);
     let weights = WeightDist::Zipf { s_num: 2, s_den: 1, w_max: 1 << 30 }.generate(n, &mut rng);
-    let (mut s, ids) = DpssSampler::from_weights(&weights, seed ^ 0x5AA);
+    let (mut s, ids) = DpssSampler::from_weights(&weights);
 
     const RUNS: usize = 3;
     let mut save_secs = f64::INFINITY;
@@ -586,11 +586,11 @@ fn scaling_probe(seed: u64, quick: bool) -> Vec<ScalingPoint> {
 
         // Bulk build: one untimed warmup pre-faults the arenas, then best
         // of three timed builds (preemption only slows a run down).
-        let _ = std::hint::black_box(DpssSampler::from_weights(&weights, seed ^ 0x5CA2));
+        let _ = std::hint::black_box(DpssSampler::from_weights(&weights));
         let mut b_secs = f64::INFINITY;
         let mut kept = None;
-        for r in 0..3u64 {
-            let (built, secs) = time(|| DpssSampler::from_weights(&weights, seed ^ 0x5CA3 ^ r));
+        for _ in 0..3 {
+            let (built, secs) = time(|| DpssSampler::from_weights(&weights));
             b_secs = b_secs.min(secs);
             kept = Some(built);
         }
@@ -640,10 +640,11 @@ fn scaling_probe(seed: u64, quick: bool) -> Vec<ScalingPoint> {
             .fold(f64::INFINITY, f64::min);
         let alpha = Ratio::from_u64s(1, 16);
         let beta = Ratio::zero();
-        let _ = DpssSampler::query(&mut s, &alpha, &beta); // warm the plan cache
+        let mut ctx = QueryCtx::new(seed ^ 0x5CA3);
+        let _ = s.query_in(&mut ctx, &alpha, &beta); // warm the plan cache
         let q_reps = if quick { 50 } else { 300 };
         let per_query = (0..3)
-            .map(|_| time_per(q_reps, || DpssSampler::query(&mut s, &alpha, &beta).len()))
+            .map(|_| time_per(q_reps, || s.query_in(&mut ctx, &alpha, &beta).len()))
             .fold(f64::INFINITY, f64::min);
 
         println!(
@@ -740,12 +741,7 @@ fn main() {
     }
 
     let packed = !cfg!(feature = "layout-baseline");
-    let hugepages = wordram::pages::compiled_in();
-    println!(
-        "\nscaling tier ({} arm, hugepages {}):",
-        if packed { "packed" } else { "layout-baseline" },
-        if hugepages { "on" } else { "off" }
-    );
+    println!("\nscaling tier ({} arm):", if packed { "packed" } else { "layout-baseline" });
     let points = scaling_probe(42, quick);
     // Flatness: per-op cost at the largest n over the smallest n (ops are
     // rates, so the cost ratio is small_ops/large_ops). ≈1 means the O(1)
@@ -918,7 +914,7 @@ fn main() {
         sn.recover_ms,
         sn.load_items_per_sec
     ));
-    json.push_str(&format!("  \"scaling\": {{\"packed\": {packed}, \"hugepages\": {hugepages},\n"));
+    json.push_str(&format!("  \"scaling\": {{\"packed\": {packed},\n"));
     json.push_str("    \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str("      ");

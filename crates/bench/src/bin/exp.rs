@@ -10,7 +10,7 @@
 use baselines::all_backends;
 use bench::{fmt_secs, header, row, time, time_per, WeightDist};
 use bignum::Ratio;
-use dpss::{DpssSampler, FinalLevelMode, SpaceUsage};
+use dpss::{DpssSampler, FinalLevelMode, QueryCtx, SpaceUsage};
 use floatdpss::sort_via_dpss;
 use graphsub::{gen, randomized_push, rr_set};
 use rand::rngs::SmallRng;
@@ -22,66 +22,39 @@ use randvar::{
 };
 use wordram::bits;
 
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[(&str, fn())] = &[
+    ("e1", e1_build),
+    ("e2", e2_query),
+    ("e3", e3_update),
+    ("e3b", e3b_streams),
+    ("e4", e4_space),
+    ("e5", e5_baselines),
+    ("e6", e6_tgeo),
+    ("e7", e7_sorting),
+    ("e8", e8_bernoulli),
+    ("e9", e9_rr_sets),
+    ("e9b", e9b_seed_selection),
+    ("e10", e10_push),
+    ("e10b", e10b_sweep_cut),
+    ("v1", v1_marginals),
+    ("v2", v2_variates),
+    ("a1", a1_final_mode),
+    ("a2", a2_rebuild_factor),
+    ("a3", a3_lookup_laziness),
+    ("a4", a4_set_weight),
+];
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let all = which == "all";
-    let run = |name: &str| all || which == name;
-    if run("e1") {
-        e1_build();
-    }
-    if run("e2") {
-        e2_query();
-    }
-    if run("e3") {
-        e3_update();
-    }
-    if run("e3b") {
-        e3b_streams();
-    }
-    if run("e4") {
-        e4_space();
-    }
-    if run("e5") {
-        e5_baselines();
-    }
-    if run("e6") {
-        e6_tgeo();
-    }
-    if run("e7") {
-        e7_sorting();
-    }
-    if run("e8") {
-        e8_bernoulli();
-    }
-    if run("e9") {
-        e9_rr_sets();
-    }
-    if run("e9b") {
-        e9b_seed_selection();
-    }
-    if run("e10") {
-        e10_push();
-    }
-    if run("e10b") {
-        e10b_sweep_cut();
-    }
-    if run("v1") {
-        v1_marginals();
-    }
-    if run("v2") {
-        v2_variates();
-    }
-    if run("a1") {
-        a1_final_mode();
-    }
-    if run("a2") {
-        a2_rebuild_factor();
-    }
-    if run("a3") {
-        a3_lookup_laziness();
-    }
-    if run("a4") {
-        a4_set_weight();
+    if which == "all" {
+        EXPERIMENTS.iter().for_each(|(_, run)| run());
+    } else if let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == which) {
+        run();
+    } else {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown experiment {which:?}; expected all or one of: {}", names.join(", "));
+        std::process::exit(2);
     }
 }
 
@@ -95,7 +68,7 @@ fn e1_build() {
         let mut cells = vec![format!("2^{exp}")];
         for d in WeightDist::ALL {
             let w = d.weights(n, 1);
-            let (_, secs) = time(|| DpssSampler::from_weights(&w, 7));
+            let (_, secs) = time(|| DpssSampler::from_weights(&w));
             cells.push(format!("{:.0} ns/item", secs / n as f64 * 1e9));
         }
         row(&cells);
@@ -108,7 +81,8 @@ fn e2_query() {
     header(&["target μ", "measured μ", "time/query", "time/(1+μ)"]);
     let n = 1usize << 18;
     let weights = WeightDist::Uniform.weights(n, 2);
-    let (mut s, _) = DpssSampler::from_weights(&weights, 9);
+    let (s, _) = DpssSampler::from_weights(&weights);
+    let mut ctx = QueryCtx::new(9);
     let beta = Ratio::zero();
     for mu in [0.25f64, 1.0, 16.0, 256.0, 4096.0] {
         // uniform weights: p = 1/(α·n) each → μ = 1/α.
@@ -118,7 +92,7 @@ fn e2_query() {
         let per = {
             let t0 = std::time::Instant::now();
             for _ in 0..reps {
-                total += s.query(&alpha, &beta).len();
+                total += s.query_in(&mut ctx, &alpha, &beta).len();
             }
             t0.elapsed().as_secs_f64() / reps as f64
         };
@@ -135,9 +109,10 @@ fn e2_query() {
     for exp in [12u32, 14, 16, 18, 20] {
         let n = bits::pow2_usize(u64::from(exp));
         let weights = WeightDist::Random.weights(n, 3);
-        let (mut s, _) = DpssSampler::from_weights(&weights, 11);
+        let (s, _) = DpssSampler::from_weights(&weights);
+        let mut ctx = QueryCtx::new(11);
         let alpha = Ratio::one();
-        let per = time_per(3000, || s.query(&alpha, &Ratio::zero()));
+        let per = time_per(3000, || s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         row(&[format!("2^{exp}"), fmt_secs(per)]);
     }
 }
@@ -148,7 +123,7 @@ fn e3_update() {
     for exp in [12u32, 14, 16, 18, 20] {
         let n = bits::pow2_usize(u64::from(exp));
         let weights = WeightDist::Random.weights(n, 4);
-        let (mut s, mut ids) = DpssSampler::from_weights(&weights, 13);
+        let (mut s, mut ids) = DpssSampler::from_weights(&weights);
         let mut rng = SmallRng::seed_from_u64(5);
         let ops = 20_000usize;
         let mut max_op = 0.0f64;
@@ -178,7 +153,7 @@ fn e4_space() {
     for exp in [12u32, 14, 16, 18, 20] {
         let n = bits::pow2_usize(u64::from(exp));
         let weights = WeightDist::Random.weights(n, 6);
-        let (mut s, mut ids) = DpssSampler::from_weights(&weights, 17);
+        let (mut s, mut ids) = DpssSampler::from_weights(&weights);
         let w_build = s.space_words();
         let mut rng = SmallRng::seed_from_u64(7);
         for _ in 0..n / 2 {
@@ -477,7 +452,7 @@ fn e3b_streams() {
         let stream = UpdateStream::generate(kind, 1 << 12, 60_000, dist, &mut rng);
         // Amortized HALT.
         {
-            let mut s = DpssSampler::new(5);
+            let mut s = DpssSampler::new();
             let mut live = LiveSet::new();
             for &w in &stream.initial {
                 live.insert(s.insert(w));
@@ -512,7 +487,7 @@ fn e3b_streams() {
         }
         // De-amortized.
         {
-            let mut s = DeamortizedDpss::new(5);
+            let mut s = DeamortizedDpss::new();
             let mut live = LiveSet::new();
             for &w in &stream.initial {
                 live.insert(s.insert(w));
@@ -627,7 +602,7 @@ fn a4_set_weight() {
 
     // set_weight, same bucket (w and w|1 share ⌊log2⌋ for w ≥ 2).
     {
-        let (mut s, ids) = DpssSampler::from_weights(&weights, 15);
+        let (mut s, ids) = DpssSampler::from_weights(&weights);
         let mut rng = SmallRng::seed_from_u64(16);
         let per = time_per(reps, || {
             let i = rng.gen_range(0..ids.len());
@@ -638,7 +613,7 @@ fn a4_set_weight() {
     }
     // set_weight, forced cross-bucket (toggle between 2^10 and 2^40 scale).
     {
-        let (mut s, ids) = DpssSampler::from_weights(&weights, 17);
+        let (mut s, ids) = DpssSampler::from_weights(&weights);
         let mut rng = SmallRng::seed_from_u64(18);
         let per = time_per(reps, || {
             let i = rng.gen_range(0..ids.len());
@@ -650,7 +625,7 @@ fn a4_set_weight() {
     }
     // delete + insert (handle churn).
     {
-        let (mut s, mut ids) = DpssSampler::from_weights(&weights, 19);
+        let (mut s, mut ids) = DpssSampler::from_weights(&weights);
         let mut rng = SmallRng::seed_from_u64(20);
         let per = time_per(reps, || {
             let i = rng.gen_range(0..ids.len());
@@ -681,7 +656,8 @@ fn v1_marginals() {
         for (a, b) in [((1u64, 1u64), (0u64, 1u64)), ((1, 30), (0, 1)), ((0, 1), (1 << 20, 1))] {
             let alpha = Ratio::from_u64s(a.0, a.1);
             let beta = Ratio::from_u64s(b.0, b.1);
-            let (mut s, ids) = DpssSampler::from_weights(&weights, 73);
+            let (s, ids) = DpssSampler::from_weights(&weights);
+            let mut ctx = QueryCtx::new(73);
             let probs: Vec<f64> = ids
                 .iter()
                 .map(|&id| s.inclusion_prob(id, &alpha, &beta).unwrap().to_f64_lossy())
@@ -689,7 +665,7 @@ fn v1_marginals() {
             let trials = 200_000u64;
             let mut hits = vec![0u64; ids.len()];
             for _ in 0..trials {
-                for id in s.query(&alpha, &beta) {
+                for id in s.query_in(&mut ctx, &alpha, &beta) {
                     hits[ids.iter().position(|&x| x == id).unwrap()] += 1;
                 }
             }
@@ -772,11 +748,12 @@ fn a1_final_mode() {
         let n = bits::pow2_usize(u64::from(exp));
         let weights = WeightDist::Zipf.weights(n, 9);
         let alpha = Ratio::one();
-        let (mut s, _) = DpssSampler::from_weights(&weights, 91);
-        let t_lookup = time_per(3000, || s.query(&alpha, &Ratio::zero()));
-        let rows = s.lookup_rows_built();
+        let (mut s, _) = DpssSampler::from_weights(&weights);
+        let mut ctx = QueryCtx::new(91);
+        let t_lookup = time_per(3000, || s.query_in(&mut ctx, &alpha, &Ratio::zero()));
+        let rows = s.lookup_rows_built_in(&ctx);
         s.set_final_mode(FinalLevelMode::Direct);
-        let t_direct = time_per(3000, || s.query(&alpha, &Ratio::zero()));
+        let t_direct = time_per(3000, || s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         row(&[format!("2^{exp}"), fmt_secs(t_lookup), fmt_secs(t_direct), format!("{rows}")]);
     }
 }
@@ -785,7 +762,7 @@ fn a2_rebuild_factor() {
     println!("\n## A2 — ablation: rebuild threshold factor (growth workload, n 2^12→2^17)\n");
     header(&["factor k", "total time", "rebuilds", "max single insert"]);
     for k in [2usize, 4, 8] {
-        let mut s = DpssSampler::new(97);
+        let mut s = DpssSampler::new();
         s.set_rebuild_factor(k);
         let mut rng = SmallRng::seed_from_u64(101);
         let mut max_op = 0f64;
@@ -807,35 +784,37 @@ fn a3_lookup_laziness() {
     header(&["mode", "prep time", "first-100-query time", "rows materialized"]);
     // Lazy (default).
     {
-        let ((mut s, _), t_build) = time(|| DpssSampler::from_weights(&weights, 103));
+        let ((s, _), t_build) = time(|| DpssSampler::from_weights(&weights));
+        let mut ctx = QueryCtx::new(103);
         let alpha = Ratio::one();
         let (_, t_first) = time(|| {
             for _ in 0..100 {
-                std::hint::black_box(s.query(&alpha, &Ratio::zero()));
+                std::hint::black_box(s.query_in(&mut ctx, &alpha, &Ratio::zero()));
             }
         });
         row(&[
             "lazy rows (default)".into(),
             fmt_secs(t_build),
             fmt_secs(t_first),
-            format!("{}", s.lookup_rows_built()),
+            format!("{}", s.lookup_rows_built_in(&ctx)),
         ]);
     }
     // Eager: materialize every configuration of the dimension actually used.
     {
-        let ((mut s, _), t_build0) = time(|| DpssSampler::from_weights(&weights, 103));
-        let (_, t_eager) = time(|| s.eager_lookup(8));
+        let ((s, _), t_build0) = time(|| DpssSampler::from_weights(&weights));
+        let mut ctx = QueryCtx::new(103);
+        let (_, t_eager) = time(|| s.eager_lookup_in(&mut ctx, 8));
         let alpha = Ratio::one();
         let (_, t_first) = time(|| {
             for _ in 0..100 {
-                std::hint::black_box(s.query(&alpha, &Ratio::zero()));
+                std::hint::black_box(s.query_in(&mut ctx, &alpha, &Ratio::zero()));
             }
         });
         row(&[
             "eager rows (paper mode)".into(),
             format!("{} + {}", fmt_secs(t_build0), fmt_secs(t_eager)),
             fmt_secs(t_first),
-            format!("{}", s.lookup_rows_built()),
+            format!("{}", s.lookup_rows_built_in(&ctx)),
         ]);
     }
 }

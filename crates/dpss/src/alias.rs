@@ -114,11 +114,6 @@ impl IntAlias {
         self.primary.is_empty()
     }
 
-    /// Space in words.
-    pub fn space_words(&self) -> usize {
-        self.thresh.len() * 2 + self.primary.len() + self.alias.len() + 2
-    }
-
     /// Draws an outcome index with probability exactly `w_i / Σw`.
     pub fn sample<R: RngCore>(&self, rng: &mut R) -> u32 {
         let s = uniform_below(rng, self.primary.len() as u64) as usize;

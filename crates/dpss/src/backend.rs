@@ -81,9 +81,11 @@ impl PssBackend for DpssSampler {
     }
 }
 
+// Both HALT samplers own no RNG (every query draws from the caller's
+// `QueryCtx`), so the seed has nothing to drive.
 impl SeedableBackend for DpssSampler {
-    fn with_seed(seed: u64) -> Self {
-        DpssSampler::new(seed)
+    fn with_seed(_seed: u64) -> Self {
+        DpssSampler::new()
     }
 }
 
@@ -105,8 +107,8 @@ impl PssBackend for DeamortizedDpss {
         self.query_mapped(ctx, alpha, beta, out, Handle::from_raw);
     }
 
-    // `query_many` uses the trait's default batch-stream loop. The per-query
-    // Σw → BigUint conversion the legacy batched entry hoisted is a handful
+    // `query_many` uses the trait's default batch-stream loop. Hoisting the
+    // per-query Σw → BigUint conversion out of a batch would save a handful
     // of word ops — not worth deviating from the shared stream discipline
     // that keeps `ShardedQuery` bit-identical to the sequential path.
 
@@ -132,8 +134,8 @@ impl PssBackend for DeamortizedDpss {
 }
 
 impl SeedableBackend for DeamortizedDpss {
-    fn with_seed(seed: u64) -> Self {
-        DeamortizedDpss::new(seed)
+    fn with_seed(_seed: u64) -> Self {
+        DeamortizedDpss::new()
     }
 }
 
@@ -163,7 +165,7 @@ mod tests {
     #[test]
     fn shared_receiver_queries_share_one_sampler() {
         // The point of the redesign: two contexts, one `&` sampler.
-        let mut s = DpssSampler::new(3);
+        let mut s = DpssSampler::new();
         for w in [1u64, 2, 4, 8, 1 << 20] {
             PssBackend::insert(&mut s, w);
         }
@@ -180,7 +182,7 @@ mod tests {
 
     #[test]
     fn set_weight_keeps_halt_handle_stable() {
-        let mut s = DpssSampler::new(3);
+        let mut s = DpssSampler::new();
         let h = PssBackend::insert(&mut s, 5);
         let h2 = PssBackend::set_weight(&mut s, h, 50).expect("live handle");
         assert_eq!(h, h2);
@@ -192,7 +194,7 @@ mod tests {
 
     #[test]
     fn deamortized_default_set_weight_reweights() {
-        let mut s = DeamortizedDpss::new(5);
+        let mut s = DeamortizedDpss::new();
         let h = PssBackend::insert(&mut s, 5);
         let _ = PssBackend::insert(&mut s, 7);
         let h2 = PssBackend::set_weight(&mut s, h, 50).expect("live handle");

@@ -116,12 +116,9 @@ pub struct DeamortizedDpss {
     snapshot: usize,
     /// Disables the word-level query fast path on both halves.
     force_exact: bool,
-    seed: u64,
     /// Incremented each time an epoch *opens*; stamps new-resident entries.
     epoch: u64,
     epochs_done: u64,
-    /// Internal default context backing the legacy `&mut self` query surface.
-    ctx: QueryCtx,
     /// Epoch-delta change log over the *union* handle space (each migration
     /// half additionally keeps its own journal over its internal ids).
     journal: ChangeJournal,
@@ -131,11 +128,17 @@ pub struct DeamortizedDpss {
     poisoned: bool,
 }
 
+impl Default for DeamortizedDpss {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DeamortizedDpss {
-    /// Creates an empty sampler with a deterministic seed.
-    pub fn new(seed: u64) -> Self {
+    /// Creates an empty sampler.
+    pub fn new() -> Self {
         DeamortizedDpss {
-            old: DpssSampler::new(seed),
+            old: DpssSampler::new(),
             new: None,
             slots: Vec::new(),
             free: Vec::new(),
@@ -146,10 +149,8 @@ impl DeamortizedDpss {
             rev_new: Vec::new(),
             snapshot: 0,
             force_exact: false,
-            seed,
             epoch: 0,
             epochs_done: 0,
-            ctx: QueryCtx::new(seed),
             journal: ChangeJournal::new(),
             poisoned: false,
         }
@@ -432,31 +433,6 @@ impl DeamortizedDpss {
         out
     }
 
-    /// Runs `f` with the internal default context moved out of `self` (the
-    /// borrow-splitting step the legacy `&mut self` wrappers need). A panic
-    /// inside `f` leaves the field as a seed-0 default — acceptable, since a
-    /// panicking query is a bug and the suites abort.
-    fn with_default_ctx<T>(&mut self, f: impl FnOnce(&Self, &mut QueryCtx) -> T) -> T {
-        let mut ctx = std::mem::take(&mut self.ctx);
-        let out = f(self, &mut ctx);
-        self.ctx = ctx;
-        out
-    }
-
-    /// Legacy convenience: [`DeamortizedDpss::query_in`] over the internal
-    /// default context (seeded at construction).
-    pub fn query(&mut self, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
-        self.with_default_ctx(|s, ctx| s.query_in(ctx, alpha, beta))
-    }
-
-    /// Legacy convenience: a batch of PSS queries on the internal default
-    /// context — a loop of [`DeamortizedDpss::query`] on one continuous
-    /// stream. The shared-read `PssBackend::query_many` default instead
-    /// derives an independent stream per index; both produce the same law.
-    pub fn query_many(&mut self, params: &[(Ratio, Ratio)]) -> Vec<Vec<Handle>> {
-        self.with_default_ctx(|s, ctx| params.iter().map(|(a, b)| s.query_in(ctx, a, b)).collect())
-    }
-
     /// Disables (`true`) or re-enables the word-level query fast path on both
     /// halves and any future migration successor (force-exact mode; the
     /// sampled distribution is unchanged either way).
@@ -497,8 +473,7 @@ impl DeamortizedDpss {
                 // Open an epoch: successor sized for the current n. The
                 // old-resident roster is already materialized — no scan.
                 self.epoch += 1;
-                self.seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                let mut successor = DpssSampler::with_capacity_seed(n, self.seed);
+                let mut successor = DpssSampler::with_capacity(n);
                 successor.set_force_exact(self.force_exact);
                 self.new = Some(successor);
                 debug_assert!(self.roster_new.is_empty());
@@ -530,17 +505,10 @@ impl DeamortizedDpss {
             // the roster/rev-map vectors move wholesale and the epoch stamps
             // keep meaning "old" because `new` is now `None`.
             debug_assert!(self.old.is_empty(), "roster drained but items remain");
-            let retired = self.old.instance;
             // pss-lint: allow(no-panic-paths) — complete_epoch runs only after step() drained a roster, which requires an open epoch
             self.old = self.new.take().expect("completing a missing epoch");
             self.roster_old = std::mem::take(&mut self.roster_new);
             std::mem::swap(&mut self.rev_old, &mut self.rev_new);
-            // The retired half's plan/table state in the internal default
-            // context is dead — drop it now instead of waiting for the
-            // context's FIFO cap to age it out. (External contexts can't be
-            // reached from here; their bounded state area ages entries out
-            // by design.)
-            self.ctx.evict(retired);
             self.snapshot = self.n_live;
             self.epochs_done += 1;
         }
@@ -597,10 +565,8 @@ impl Snapshottable for DeamortizedDpss {
         let mut enc = Enc::new();
         enc.put_usize(self.snapshot);
         enc.put_bool(self.force_exact);
-        enc.put_u64(self.seed);
         enc.put_u64(self.epoch);
         enc.put_u64(self.epochs_done);
-        enc.put_u64(self.ctx.seed());
         enc.put_u64(self.journal.epoch());
         enc.put_bool(self.new.is_some());
         w.section(TAG_DEAM, enc);
@@ -643,10 +609,8 @@ impl Snapshottable for DeamortizedDpss {
         let mut dec = r.section(TAG_DEAM)?;
         let snapshot = dec.get_usize()?;
         let force_exact = dec.get_bool()?;
-        let seed = dec.get_u64()?;
         let epoch = dec.get_u64()?;
         let epochs_done = dec.get_u64()?;
-        let ctx_seed = dec.get_u64()?;
         let watermark = dec.get_u64()?;
         let has_new = dec.get_bool()?;
         dec.finish()?;
@@ -757,12 +721,8 @@ impl Snapshottable for DeamortizedDpss {
             rev_new,
             snapshot,
             force_exact,
-            seed,
             epoch,
             epochs_done,
-            // Process-local identity is deliberately not durable: the default
-            // context restarts its derived stream at the saved seed.
-            ctx: QueryCtx::new(ctx_seed),
             // The union journal resumes at the saved watermark with an empty
             // ring: recovery replays a durable journal's suffix from here.
             journal: ChangeJournal::resumed_at(watermark),
@@ -794,7 +754,7 @@ mod tests {
 
     #[test]
     fn basic_crud_and_epochs() {
-        let mut s = DeamortizedDpss::new(1);
+        let mut s = DeamortizedDpss::new();
         let mut hs = Vec::new();
         for i in 0..200u64 {
             hs.push(s.insert(i + 1));
@@ -814,7 +774,7 @@ mod tests {
     fn migration_is_bounded_per_update() {
         // After an epoch opens, `old` shrinks by at most MIGRATION_BATCH + 1
         // per update (the batch plus a routed delete).
-        let mut s = DeamortizedDpss::new(2);
+        let mut s = DeamortizedDpss::new();
         for i in 0..64u64 {
             s.insert(i + 1);
         }
@@ -833,7 +793,7 @@ mod tests {
         // rebuilt — their combined length always equals the live count, and
         // validate() (which checks every back-pointer) passes at every step
         // across several epochs.
-        let mut s = DeamortizedDpss::new(6);
+        let mut s = DeamortizedDpss::new();
         let mut hs = Vec::new();
         for i in 0..500u64 {
             hs.push(s.insert((i % 97) + 1));
@@ -858,7 +818,7 @@ mod tests {
     fn marginals_exact_mid_migration() {
         // Force an in-progress epoch, then check inclusion probabilities are
         // still exactly w/W across the split.
-        let mut s = DeamortizedDpss::new(3);
+        let mut s = DeamortizedDpss::new();
         let hs: Vec<Handle> = (0..40).map(|i| s.insert(1 << (i % 8))).collect();
         // Trigger an epoch and stop mid-migration.
         for _ in 0..30 {
@@ -868,8 +828,9 @@ mod tests {
         let total = s.total_weight() as f64;
         let trials = 30_000u64;
         let mut hits = vec![0u64; hs.len()];
+        let mut ctx = QueryCtx::new(3);
         for _ in 0..trials {
-            for h in s.query(&Ratio::one(), &Ratio::zero()) {
+            for h in s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()) {
                 if let Some(i) = hs.iter().position(|&x| x == h) {
                     hits[i] += 1;
                 }
@@ -885,7 +846,7 @@ mod tests {
 
     #[test]
     fn bulk_load_re_baselines_and_validates() {
-        let mut s = DeamortizedDpss::new(11);
+        let mut s = DeamortizedDpss::new();
         let ws: Vec<u64> = (0..5000u64).map(|i| (i % 313) + 1).collect();
         let hs = s.insert_many(&ws);
         assert_eq!(s.len(), 5000);
@@ -903,8 +864,8 @@ mod tests {
 
     #[test]
     fn in_band_batch_matches_per_item_loop() {
-        let mut a = DeamortizedDpss::new(12);
-        let mut b = DeamortizedDpss::new(12);
+        let mut a = DeamortizedDpss::new();
+        let mut b = DeamortizedDpss::new();
         for w in 1..=100u64 {
             a.insert(w);
             b.insert(w);
@@ -922,14 +883,14 @@ mod tests {
         assert_eq!(ha, hb);
         a.validate();
         b.validate();
-        let qa = a.query(&Ratio::from_u64s(1, 4), &Ratio::zero());
-        let qb = b.query(&Ratio::from_u64s(1, 4), &Ratio::zero());
+        let qa = a.query_in(&mut QueryCtx::new(12), &Ratio::from_u64s(1, 4), &Ratio::zero());
+        let qb = b.query_in(&mut QueryCtx::new(12), &Ratio::from_u64s(1, 4), &Ratio::zero());
         assert_eq!(qa, qb, "pinned query streams must agree after an in-band batch");
     }
 
     #[test]
     fn stale_handles_rejected() {
-        let mut s = DeamortizedDpss::new(4);
+        let mut s = DeamortizedDpss::new();
         let h = s.insert(7);
         assert_eq!(s.delete(h), Some(7));
         assert_eq!(s.delete(h), None);
@@ -938,7 +899,7 @@ mod tests {
 
     #[test]
     fn recycled_slots_get_fresh_generations() {
-        let mut s = DeamortizedDpss::new(8);
+        let mut s = DeamortizedDpss::new();
         let h1 = s.insert(5);
         s.delete(h1);
         let h2 = s.insert(9);
@@ -950,7 +911,7 @@ mod tests {
 
     #[test]
     fn shrink_epoch_also_fires() {
-        let mut s = DeamortizedDpss::new(5);
+        let mut s = DeamortizedDpss::new();
         let hs: Vec<Handle> = (0..300).map(|i| s.insert(i + 1)).collect();
         let e0 = s.epochs_completed();
         for h in hs {
@@ -965,12 +926,13 @@ mod tests {
     // HashSet sanctioned: duplicate detection in a test; only len() is observed.
     #[allow(clippy::disallowed_types)]
     fn query_translates_handles_during_migration() {
-        let mut s = DeamortizedDpss::new(7);
+        let mut s = DeamortizedDpss::new();
         let hs: Vec<Handle> = (0..100).map(|_| s.insert(1000)).collect();
         // Mid-migration (an epoch will be in flight for some of this loop),
         // every returned handle must be live and unique.
+        let mut ctx = QueryCtx::new(7);
         for _ in 0..50 {
-            let t = s.query(&Ratio::from_u64s(1, 8), &Ratio::zero());
+            let t = s.query_in(&mut ctx, &Ratio::from_u64s(1, 8), &Ratio::zero());
             let set: std::collections::HashSet<_> = t.iter().collect();
             assert_eq!(set.len(), t.len(), "duplicate handles");
             for h in t {

@@ -1,19 +1,12 @@
-//! Structure introspection and cost accounting.
+//! Structure introspection.
 //!
-//! Two tools for the experiments and the ablation benches:
-//!
-//! - [`StructureStats`] — a full snapshot of the three-level hierarchy
-//!   (bucket/group occupancy per level, proxy counts, space), collected in
-//!   O(capacity) by [`DpssSampler::stats`]. Used by the E4 space experiment
-//!   and by the invariants tests to assert the hierarchy's *shape*, not just
-//!   its behaviour.
-//! - [`DpssSampler::new_counting`] / [`DpssSampler::words_consumed`] — the
-//!   §3 randomness-cost accounting. Since the RNG moved into the caller's
-//!   `QueryCtx` (whose stream counts every word it emits), *every* sampler
-//!   can report the words drawn through its internal default context; the
-//!   `new_counting` constructor survives as a documenting alias so tests can
-//!   assert the O(1)-expected-randomness claims directly (queries draw
-//!   O(1 + μ) words; updates draw none).
+//! [`StructureStats`] is a full snapshot of the three-level hierarchy
+//! (bucket/group occupancy per level, proxy counts, space), collected in
+//! O(capacity) by [`DpssSampler::stats`]. Used by the E4 space experiment
+//! and by the invariants tests to assert the hierarchy's *shape*, not just
+//! its behaviour. The §3 randomness-cost accounting lives with the RNG, in
+//! the caller's `QueryCtx` (`pss_core::QueryCtx::words_consumed`): queries
+//! draw O(1 + μ) words, and updates take no context, so they draw none.
 
 use crate::sampler::DpssSampler;
 use crate::structure::{Level1, NodePool, NO_NODE};
@@ -63,8 +56,6 @@ pub struct StructureStats {
     pub item_arena_residency: wordram::ArenaResidency,
     /// Residency split of the shared proxy-bucket arena.
     pub proxy_arena_residency: wordram::ArenaResidency,
-    /// Lookup-table rows materialized so far.
-    pub lookup_rows: u64,
 }
 
 impl StructureStats {
@@ -129,29 +120,7 @@ impl DpssSampler {
             proxy_arena_words: self.level1.pool.arena.space_words(),
             item_arena_residency: self.level1.item_arena.residency(),
             proxy_arena_residency: self.level1.pool.arena.residency(),
-            lookup_rows: self.lookup_rows_built(),
         }
-    }
-
-    /// A sampler whose internal default context counts the random words it
-    /// draws — the §3 randomness-cost accounting used by E8 and the cost
-    /// tests. Every context counts words now (see `pss_core::CtxRng`), so
-    /// this is simply [`DpssSampler::new`] under its historical name.
-    pub fn new_counting(seed: u64) -> Self {
-        DpssSampler::new(seed)
-    }
-
-    /// Random words drawn through the internal default context since
-    /// construction (or the last reset). Queries issued through *external*
-    /// contexts are counted by those contexts
-    /// (`pss_core::QueryCtx::words_consumed`).
-    pub fn words_consumed(&self) -> u64 {
-        self.ctx.words_consumed()
-    }
-
-    /// Resets the internal default context's word counter.
-    pub fn reset_word_count(&mut self) {
-        self.ctx.reset_word_count();
     }
 }
 
@@ -159,10 +128,11 @@ impl DpssSampler {
 mod tests {
     use super::*;
     use bignum::Ratio;
+    use pss_core::QueryCtx;
 
     #[test]
     fn equal_weights_occupy_one_bucket() {
-        let (s, _) = DpssSampler::from_weights(&[8; 100], 1);
+        let (s, _) = DpssSampler::from_weights(&[8; 100]);
         let st = s.stats();
         assert_eq!(st.n_items, 100);
         assert_eq!(st.levels[0].nonempty_buckets, 1);
@@ -176,7 +146,7 @@ mod tests {
     #[test]
     fn power_weights_spread_buckets() {
         let weights: Vec<u64> = (0..32).map(|e| 1u64 << e).collect();
-        let (s, _) = DpssSampler::from_weights(&weights, 2);
+        let (s, _) = DpssSampler::from_weights(&weights);
         let st = s.stats();
         assert_eq!(st.levels[0].nonempty_buckets, 32);
         assert_eq!(st.levels[0].max_bucket_len, 1);
@@ -188,7 +158,7 @@ mod tests {
     fn proxy_counts_match_bucket_counts() {
         // Structural identity: level-(k+1) members == non-empty level-k buckets.
         let weights: Vec<u64> = (1..200u64).map(|i| i.wrapping_mul(0x9E3779B9) | 1).collect();
-        let (s, _) = DpssSampler::from_weights(&weights, 3);
+        let (s, _) = DpssSampler::from_weights(&weights);
         let st = s.stats();
         assert_eq!(st.levels[1].n_members, st.levels[0].nonempty_buckets);
         assert_eq!(st.levels[2].n_members, st.levels[1].nonempty_buckets);
@@ -197,7 +167,7 @@ mod tests {
 
     #[test]
     fn zero_weight_items_counted_but_not_bucketed() {
-        let (s, _) = DpssSampler::from_weights(&[0, 0, 5], 4);
+        let (s, _) = DpssSampler::from_weights(&[0, 0, 5]);
         let st = s.stats();
         assert_eq!(st.n_items, 3);
         assert_eq!(st.n_zero, 2);
@@ -206,7 +176,7 @@ mod tests {
 
     #[test]
     fn stats_track_updates() {
-        let mut s = DpssSampler::new(5);
+        let mut s = DpssSampler::new();
         let a = s.insert(7);
         let _b = s.insert(1 << 20);
         let st = s.stats();
@@ -223,7 +193,7 @@ mod tests {
         // vectors, bitsets); the per-item ratio must flatten as n grows.
         let ratio_at = |n: usize| {
             let weights: Vec<u64> = (0..n as u64).map(|i| i * 37 + 1).collect();
-            let (s, _) = DpssSampler::from_weights(&weights, 6);
+            let (s, _) = DpssSampler::from_weights(&weights);
             s.stats().words_per_item()
         };
         let small = ratio_at(100);
@@ -235,34 +205,38 @@ mod tests {
 
     #[test]
     fn counting_sampler_updates_draw_no_randomness() {
-        let mut s = DpssSampler::new_counting(7);
+        let mut s = DpssSampler::new();
+        let mut ctx = QueryCtx::new(7);
         let ids: Vec<_> = (1..100u64).map(|w| s.insert(w)).collect();
-        assert_eq!(s.words_consumed(), 0, "updates must not consume randomness");
+        let _ = s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero());
+        let after_query = ctx.words_consumed();
+        assert!(after_query > 0, "a query over positive weights draws randomness");
         for id in ids {
             s.delete(id);
         }
-        assert_eq!(s.words_consumed(), 0);
+        assert_eq!(ctx.words_consumed(), after_query, "updates must not consume randomness");
     }
 
     #[test]
     fn counting_sampler_query_words_scale_with_output() {
-        let mut s = DpssSampler::new_counting(8);
+        let mut s = DpssSampler::new();
+        let mut ctx = QueryCtx::new(8);
         for _ in 0..4096 {
             s.insert(1024);
         }
         // μ ≈ 1 queries: words per query should be modest and flat.
-        s.reset_word_count();
+        ctx.reset_word_count();
         let q = 200u64;
         for _ in 0..q {
-            let _ = s.query(&Ratio::one(), &Ratio::zero());
+            let _ = s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero());
         }
-        let per_query_small = s.words_consumed() as f64 / q as f64;
+        let per_query_small = ctx.words_consumed() as f64 / q as f64;
         // μ ≈ 512: words grow with μ, not with n.
-        s.reset_word_count();
+        ctx.reset_word_count();
         for _ in 0..q {
-            let _ = s.query(&Ratio::from_u64s(1, 512), &Ratio::zero());
+            let _ = s.query_in(&mut ctx, &Ratio::from_u64s(1, 512), &Ratio::zero());
         }
-        let per_query_large = s.words_consumed() as f64 / q as f64;
+        let per_query_large = ctx.words_consumed() as f64 / q as f64;
         assert!(
             per_query_large > 8.0 * per_query_small,
             "output-sensitivity: μ=1 → {per_query_small} words, μ=512 → {per_query_large}"

@@ -51,11 +51,6 @@ impl LookupTable {
         self.builds
     }
 
-    /// Space in words of all materialized rows.
-    pub fn space_words(&self) -> usize {
-        self.rows.values().map(|r| r.space_words() + 4).sum::<usize>() + 4
-    }
-
     /// Numerator of the 4S selection probability of slot `t` with count `c`:
     /// `p_t = min(m², 2^{t+2}·c) / m²`.
     ///

@@ -9,12 +9,8 @@
 //! the per-`(α, β)` plan cache all live in the
 //! caller's context (keyed by this sampler's instance id and validated
 //! against its mutation epoch), so independent queries can run concurrently
-//! over one shared sampler — see `pss_core::ShardedQuery`.
-//!
-//! The legacy `&mut self` convenience methods ([`DpssSampler::query`],
-//! [`DpssSampler::query_many`], …) remain as thin wrappers over an internal
-//! default context seeded at construction, so existing callers and the
-//! seeded agreement suites keep their exact sampling law.
+//! over one shared sampler — see `pss_core::ShardedQuery`. The sampler owns
+//! no RNG: every random bit a query draws comes from the caller's context.
 
 use crate::item::ItemId;
 use crate::lookup::LookupTable;
@@ -33,6 +29,11 @@ use wordram::SpaceUsage;
 /// Floor for the sizing parameter `n₀` so tiny sets get sane group widths and
 /// rebuilds don't thrash.
 const N0_FLOOR: usize = 16;
+
+/// Largest global-rebuild factor `k` (see [`DpssSampler::set_rebuild_factor`]):
+/// the setter refuses anything above it and the snapshot reader rejects it as
+/// corrupt, and it keeps the rebuild band's `n₀·k` far from overflow.
+pub const MAX_REBUILD_FACTOR: usize = 1 << 16;
 
 /// Capacity of the per-`(α, β)` query-plan cache. Sized to hold a whole
 /// `query_many` batch of distinct parameter pairs (the bench drives 16) with
@@ -72,8 +73,8 @@ struct PlanEntry {
 /// structural rebuild (`Rebuilt` entry, or a replay window lost to ring
 /// wrap) clears the cache, and only a modulus change rebuilds the table.
 #[derive(Debug)]
-pub(crate) struct PlanState {
-    pub(crate) table: LookupTable,
+struct PlanState {
+    table: LookupTable,
     /// The query recursion's proxy buffers.
     scratch: QueryScratch,
     plans: Vec<PlanEntry>,
@@ -170,9 +171,7 @@ pub struct DpssSampler {
     /// memoized tables lazily when this moves under them).
     table_modulus: u32,
     /// Process-unique id keying this sampler's state inside any [`QueryCtx`].
-    pub(crate) instance: u64,
-    /// Internal default context backing the legacy `&mut self` query surface.
-    pub(crate) ctx: QueryCtx,
+    instance: u64,
     /// Disables the word-level fast path (all coins exact; agreement tests).
     force_exact: bool,
     /// Set while a `&mut` update is mid-cascade and cleared on completion: a
@@ -181,12 +180,16 @@ pub struct DpssSampler {
     poisoned: bool,
 }
 
+impl Default for DpssSampler {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DpssSampler {
-    /// Creates an empty sampler with a deterministic seed (the seed drives
-    /// the internal default context used by the legacy query methods; the
-    /// shared-read surface draws from the caller's context instead).
-    pub fn new(seed: u64) -> Self {
-        Self::with_capacity_seed(0, seed)
+    /// Creates an empty sampler.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
     }
 
     /// O(n) preprocessing: builds the sampler over `weights`, returning the
@@ -194,14 +197,14 @@ impl DpssSampler {
     /// build (`Level1::insert_many`): sized once for `weights.len()`, built
     /// in four linear passes, no journal traffic (a fresh structure has no
     /// observers to notify).
-    pub fn from_weights(weights: &[u64], seed: u64) -> (Self, Vec<ItemId>) {
-        let mut s = Self::with_capacity_seed(weights.len(), seed);
+    pub fn from_weights(weights: &[u64]) -> (Self, Vec<ItemId>) {
+        let mut s = Self::with_capacity(weights.len());
         let ids = s.level1.insert_many(weights);
         (s, ids)
     }
 
     /// Creates an empty sampler sized for `n` upcoming insertions.
-    pub fn with_capacity_seed(n: usize, seed: u64) -> Self {
+    pub fn with_capacity(n: usize) -> Self {
         let n0 = n.max(N0_FLOOR);
         let (g1, g2) = derive_widths(n0);
         DpssSampler {
@@ -213,7 +216,6 @@ impl DpssSampler {
             journal: ChangeJournal::new(),
             table_modulus: g2,
             instance: pss_core::fresh_backend_id(),
-            ctx: QueryCtx::new(seed),
             force_exact: false,
             poisoned: false,
         }
@@ -277,23 +279,26 @@ impl DpssSampler {
         self.rebuilds
     }
 
-    /// Sets the global-rebuild threshold factor `k ≥ 2`: rebuild when the
-    /// size leaves `[n₀/k, k·n₀]` (ablation A2; the paper uses `k = 2`).
+    /// Sets the global-rebuild threshold factor `k` in
+    /// `2..=`[`MAX_REBUILD_FACTOR`]: rebuild when the size leaves
+    /// `[n₀/k, k·n₀]` (ablation A2; the paper uses `k = 2`).
     pub fn set_rebuild_factor(&mut self, k: usize) {
-        assert!(k >= 2, "rebuild factor must be ≥ 2");
+        assert!(
+            (2..=MAX_REBUILD_FACTOR).contains(&k),
+            "rebuild factor must be in 2..={MAX_REBUILD_FACTOR}"
+        );
         self.rebuild_factor = k;
     }
 
-    /// Rows materialized in the internal default context's lookup table so
-    /// far (ablation A3; rows built through *other* contexts are counted by
-    /// those contexts).
-    pub fn lookup_rows_built(&self) -> u64 {
-        self.ctx.state_ref::<PlanState>(self.instance).map_or(0, |st| st.table.rows_built())
+    /// Rows of this sampler's lookup table materialized in `ctx` so far
+    /// (ablation A3; each context memoizes its own rows).
+    pub fn lookup_rows_built_in(&self, ctx: &QueryCtx) -> u64 {
+        ctx.state_ref::<PlanState>(self.instance).map_or(0, |st| st.table.rows_built())
     }
 
-    /// `(hits, misses, refreshes)` of the per-`(α, β)` query-plan cache in
-    /// the internal default context since construction: a *hit* answers a
-    /// query from a still-valid cached plan (no multi-word
+    /// `(hits, misses, refreshes)` of this sampler's per-`(α, β)` query-plan
+    /// cache inside `ctx` (each context keeps its own cache): a *hit*
+    /// answers a query from a still-valid cached plan (no multi-word
     /// `W`/threshold/accelerator setup), a *miss* builds and caches a fresh
     /// entry, and a *refresh* re-derives a stale entry's plan **in place** —
     /// the journal-driven middle path for weight-only churn, which skips the
@@ -301,15 +306,6 @@ impl DpssSampler {
     /// table. Degenerate `W = 0` queries bypass the cache and count as none
     /// of the three. Observability hook — snapshotted by `bench_core` so
     /// cache regressions show in the perf trajectory.
-    pub fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        self.ctx
-            .state_ref::<PlanState>(self.instance)
-            .map_or((0, 0, 0), |st| (st.hits, st.misses, st.refreshes))
-    }
-
-    /// `(hits, misses, refreshes)` of this sampler's plan cache inside an
-    /// *external* context (each context keeps its own cache; see
-    /// [`DpssSampler::plan_cache_stats`] for the semantics).
     pub fn plan_cache_stats_in(&self, ctx: &QueryCtx) -> (u64, u64, u64) {
         ctx.state_ref::<PlanState>(self.instance)
             .map_or((0, 0, 0), |st| (st.hits, st.misses, st.refreshes))
@@ -320,27 +316,12 @@ impl DpssSampler {
         &self.journal
     }
 
-    /// Runs `f` with the internal default context moved out of `self` (the
-    /// borrow-splitting step every legacy `&mut self` wrapper needs: `f`
-    /// gets `&Self` *and* the context). A panic inside `f` leaves the field
-    /// as a seed-0 default — acceptable, since a panicking query is a bug
-    /// and the suites abort; nothing unwinds past this and keeps sampling.
-    fn with_default_ctx<T>(&mut self, f: impl FnOnce(&Self, &mut QueryCtx) -> T) -> T {
-        let mut ctx = std::mem::take(&mut self.ctx);
-        let out = f(self, &mut ctx);
-        self.ctx = ctx;
-        out
-    }
-
     /// Eagerly materializes every lookup-table row of configuration dimension
-    /// `k` in the internal default context — the paper's O(n₀) preprocessing
-    /// mode (ablation A3). Bounded to small `(m+1)^k`; the default is lazy
-    /// memoization.
-    pub fn eager_lookup(&mut self, k: usize) {
-        self.with_default_ctx(|s, ctx| {
-            let (_, st) = s.plan_state(ctx);
-            st.table.build_all(k);
-        });
+    /// `k` in `ctx` — the paper's O(n₀) preprocessing mode (ablation A3).
+    /// Bounded to small `(m+1)^k`; the default is lazy memoization.
+    pub fn eager_lookup_in(&self, ctx: &mut QueryCtx, k: usize) {
+        let (_, st) = self.plan_state(ctx);
+        st.table.build_all(k);
     }
 
     /// `true` iff an earlier update unwound mid-cascade and the structure
@@ -801,30 +782,6 @@ impl DpssSampler {
         query_level1(&self.level1, &mut frame, out, map);
     }
 
-    // -- Legacy convenience surface (internal default context) --------------
-
-    /// Legacy convenience: [`DpssSampler::query_in`] over the internal
-    /// default context (seeded at construction), preserving the pre-split
-    /// `&mut self` call shape and its exact sampling law.
-    pub fn query(&mut self, alpha: &Ratio, beta: &Ratio) -> Vec<ItemId> {
-        self.with_default_ctx(|s, ctx| s.query_in(ctx, alpha, beta))
-    }
-
-    /// Legacy convenience: a batch of PSS queries on the internal default
-    /// context, one result per `(α, β)` pair — a plain loop of
-    /// [`DpssSampler::query`] on one continuous stream (the shared-read
-    /// `PssBackend::query_many` instead derives an independent stream per
-    /// index; both produce the same law).
-    pub fn query_many(&mut self, params: &[(Ratio, Ratio)]) -> Vec<Vec<ItemId>> {
-        params.iter().map(|(a, b)| self.query(a, b)).collect()
-    }
-
-    /// Convenience: query with machine-word rational parameters
-    /// `α = a.0/a.1`, `β = b.0/b.1`.
-    pub fn query_rational(&mut self, a: (u64, u64), b: (u64, u64)) -> Vec<ItemId> {
-        self.query(&Ratio::from_u64s(a.0, a.1), &Ratio::from_u64s(b.0, b.1))
-    }
-
     /// Validates every structural invariant (test/debug hook; O(n)).
     pub fn validate(&self) {
         self.level1.validate();
@@ -850,7 +807,6 @@ impl Snapshottable for DpssSampler {
             FinalLevelMode::Lookup => 0,
             FinalLevelMode::Direct => 1,
         });
-        enc.put_u64(self.ctx.seed());
         enc.put_u64(self.journal.epoch());
         w.section(TAG_SAMPLER, enc);
         let mut slab = Enc::new();
@@ -873,7 +829,6 @@ impl Snapshottable for DpssSampler {
             1 => FinalLevelMode::Direct,
             _ => return Err(SnapshotError::Invalid("final-mode byte out of range")),
         };
-        let seed = dec.get_u64()?;
         let watermark = dec.get_u64()?;
         dec.finish()?;
         // Sizing sanity: the widths divide bucket universes and the rebuild
@@ -882,7 +837,7 @@ impl Snapshottable for DpssSampler {
         if n0 == 0 || n0 > u32::MAX as usize {
             return Err(SnapshotError::Invalid("sizing parameter out of range"));
         }
-        if !(2..=1 << 16).contains(&rebuild_factor) {
+        if !(2..=MAX_REBUILD_FACTOR).contains(&rebuild_factor) {
             return Err(SnapshotError::Invalid("rebuild factor out of range"));
         }
         if g1 == 0 || g1 > 64 || g2 == 0 || g2 > 64 {
@@ -904,10 +859,8 @@ impl Snapshottable for DpssSampler {
             // `table_modulus` tracks `l2_group_width` by construction.
             table_modulus: g2,
             // Process-local identity is deliberately not durable: a restored
-            // sampler keys fresh per-context state (and the default context
-            // restarts its derived stream at the saved seed).
+            // sampler keys fresh per-context state.
             instance: pss_core::fresh_backend_id(),
-            ctx: QueryCtx::new(seed),
             force_exact,
             poisoned: false,
         })
@@ -916,14 +869,11 @@ impl Snapshottable for DpssSampler {
 
 impl SpaceUsage for DpssSampler {
     fn space_words(&self) -> usize {
-        // The hierarchy plus whatever the internal default context memoized
-        // on this sampler's behalf. Rows memoized in *external* contexts are
-        // owned — and must be accounted — by those contexts (the structure
-        // cannot see them from `&self`); they are derived data bounded per
-        // context by the state cap, not part of the structure's O(n) story.
-        let table =
-            self.ctx.state_ref::<PlanState>(self.instance).map_or(0, |st| st.table.space_words());
-        self.level1.space_words() + table + self.journal.space_words() + 6
+        // The hierarchy and the journal. Lookup rows memoized in a context
+        // are owned — and accounted — by that context: derived data bounded
+        // per context by the state cap, not part of the structure's O(n)
+        // story.
+        self.level1.space_words() + self.journal.space_words() + 6
     }
 }
 
@@ -934,7 +884,7 @@ mod tests {
     #[test]
     fn one_off_parameters_do_not_flush_the_hot_plans() {
         let weights: Vec<u64> = (1..=256u64).collect();
-        let (s, _) = DpssSampler::from_weights(&weights, 5);
+        let (s, _) = DpssSampler::from_weights(&weights);
         let mut ctx = QueryCtx::new(9);
         let hot: Vec<Ratio> = (0..16u64).map(|k| Ratio::from_u64s(1, k + 2)).collect();
         let zero = Ratio::zero();
@@ -955,5 +905,19 @@ mod tests {
             }
         }
         assert_eq!(s.plan_cache_stats_in(&ctx), (hot_q, 16 + fresh_q, 0));
+    }
+
+    #[test]
+    fn largest_rebuild_factor_round_trips() {
+        let (mut s, _) = DpssSampler::from_weights(&[3, 5, 7]);
+        s.set_rebuild_factor(MAX_REBUILD_FACTOR);
+        let back = DpssSampler::from_snapshot(&s.snapshot()).expect("in-range factor loads");
+        assert_eq!(back.rebuild_factor, MAX_REBUILD_FACTOR);
+    }
+
+    #[test]
+    #[should_panic(expected = "rebuild factor must be in")]
+    fn rebuild_factor_above_the_bound_is_refused() {
+        DpssSampler::new().set_rebuild_factor(MAX_REBUILD_FACTOR + 1);
     }
 }

@@ -23,7 +23,7 @@ proptest! {
 
     #[test]
     fn shape_invariants_under_churn(ops in proptest::collection::vec(op_strategy(), 1..250)) {
-        let mut s = DpssSampler::new(0xFEED);
+        let mut s = DpssSampler::new();
         let mut live = Vec::new();
         let mut zero_count = 0usize;
         for op in ops {
@@ -64,7 +64,7 @@ proptest! {
     fn stats_survive_rebuilds(n_grow in 100usize..400) {
         // Grow far past the rebuild threshold, then shrink back; the shape
         // identities must hold on both sides of every rebuild.
-        let mut s = DpssSampler::new(7);
+        let mut s = DpssSampler::new();
         let mut ids = Vec::new();
         for i in 0..n_grow as u64 {
             ids.push(s.insert((i % 60) + 1));

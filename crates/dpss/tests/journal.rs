@@ -17,8 +17,8 @@ fn batch() -> Vec<(Ratio, Ratio)> {
 #[test]
 fn insert_many_matches_per_op_inserts_bit_for_bit() {
     let weights: Vec<u64> = (0..300u64).map(|i| (i * 2654435761) % (1 << 30) + 1).collect();
-    let mut a = DpssSampler::new(7);
-    let mut b = DpssSampler::new(7);
+    let mut a = DpssSampler::new();
+    let mut b = DpssSampler::new();
     let ids_a = a.insert_many(&weights);
     let ids_b: Vec<_> = weights.iter().map(|&w| b.insert(w)).collect();
     assert_eq!(ids_a, ids_b, "batch insert must issue the same handles");
@@ -43,7 +43,7 @@ fn insert_many_matches_per_op_inserts_bit_for_bit() {
 #[test]
 fn weight_only_churn_refreshes_plans_in_place() {
     let weights: Vec<u64> = (1..=256u64).collect();
-    let (mut s, ids) = DpssSampler::from_weights(&weights, 5);
+    let (mut s, ids) = DpssSampler::from_weights(&weights);
     let params = batch();
     let mut ctx = QueryCtx::new(9);
     for (a, b) in &params {
@@ -71,7 +71,7 @@ fn weight_only_churn_refreshes_plans_in_place() {
 #[test]
 fn weight_neutral_churn_keeps_plans_valid() {
     let weights: Vec<u64> = (1..=200u64).map(|i| i * 3).collect();
-    let (mut s, ids) = DpssSampler::from_weights(&weights, 5);
+    let (mut s, ids) = DpssSampler::from_weights(&weights);
     let params = batch();
     let mut ctx = QueryCtx::new(11);
     for (a, b) in &params {
@@ -96,7 +96,7 @@ fn weight_neutral_churn_keeps_plans_valid() {
 
 #[test]
 fn structural_rebuild_clears_plans() {
-    let (mut s, _) = DpssSampler::from_weights(&(1..=64u64).collect::<Vec<_>>(), 5);
+    let (mut s, _) = DpssSampler::from_weights(&(1..=64u64).collect::<Vec<_>>());
     let params = batch();
     let mut ctx = QueryCtx::new(13);
     for (a, b) in &params {
@@ -117,7 +117,7 @@ fn structural_rebuild_clears_plans() {
 
 #[test]
 fn ring_wrap_falls_back_for_slow_observers() {
-    let (mut s, ids) = DpssSampler::from_weights(&(1..=32u64).collect::<Vec<_>>(), 5);
+    let (mut s, ids) = DpssSampler::from_weights(&(1..=32u64).collect::<Vec<_>>());
     let mut ctx = QueryCtx::new(17);
     let (a, b) = (Ratio::from_u64s(1, 4), Ratio::zero());
     let _ = s.query_in(&mut ctx, &a, &b);
@@ -138,17 +138,17 @@ fn ring_wrap_falls_back_for_slow_observers() {
 
 #[test]
 fn journal_is_exposed_through_the_backend_facade() {
-    let mut s = DpssSampler::new(1);
+    let mut s = DpssSampler::new();
     let h = PssBackend::insert(&mut s, 5);
     assert!(PssBackend::delete(&mut s, h));
     let j = PssBackend::journal(&s).expect("halt keeps a journal");
     assert_eq!(j.epoch(), 2);
-    let mut d = DpssSampler::new(1);
+    let mut d = DpssSampler::new();
     assert!(PssBackend::journal(&d).is_some());
     let _ = PssBackend::insert_many(&mut d, &[1, 2, 3]);
     assert_eq!(PssBackend::journal(&d).unwrap().epoch(), 1, "facade batch is one version");
     // The de-amortized union journal batches bulk loads the same way.
-    let mut dm = dpss::DeamortizedDpss::new(1);
+    let mut dm = dpss::DeamortizedDpss::new();
     let hs = PssBackend::insert_many(&mut dm, &[5, 6, 7, 8]);
     assert_eq!(hs.len(), 4);
     assert_eq!(PssBackend::journal(&dm).unwrap().epoch(), 1, "deam batch is one version");

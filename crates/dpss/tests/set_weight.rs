@@ -3,13 +3,13 @@
 //! the handle survives.
 
 use bignum::Ratio;
-use dpss::DpssSampler;
+use dpss::{DpssSampler, QueryCtx};
 use proptest::prelude::*;
 use randvar::stats::binomial_z;
 
 #[test]
 fn basic_reweight_same_bucket() {
-    let mut s = DpssSampler::new(1);
+    let mut s = DpssSampler::new();
     let id = s.insert(8);
     assert_eq!(s.set_weight(id, 9), Some(8)); // 8 and 9 share bucket ⌊log2⌋=3
     assert_eq!(s.weight(id), Some(9));
@@ -19,7 +19,7 @@ fn basic_reweight_same_bucket() {
 
 #[test]
 fn reweight_across_buckets() {
-    let mut s = DpssSampler::new(2);
+    let mut s = DpssSampler::new();
     let id = s.insert(8);
     let other = s.insert(1 << 30);
     assert_eq!(s.set_weight(id, 1 << 50), Some(8));
@@ -28,7 +28,7 @@ fn reweight_across_buckets() {
     s.validate();
     // Structure shape must match a fresh build with the same weights.
     let st = s.stats();
-    let (fresh, _) = DpssSampler::from_weights(&[1 << 50, 1 << 30], 3);
+    let (fresh, _) = DpssSampler::from_weights(&[1 << 50, 1 << 30]);
     let fst = fresh.stats();
     assert_eq!(st.levels[0].nonempty_buckets, fst.levels[0].nonempty_buckets);
     assert_eq!(st.levels[1].n_members, fst.levels[1].n_members);
@@ -37,24 +37,25 @@ fn reweight_across_buckets() {
 
 #[test]
 fn reweight_to_and_from_zero() {
-    let mut s = DpssSampler::new(3);
+    let mut s = DpssSampler::new();
+    let mut ctx = QueryCtx::new(3);
     let id = s.insert(100);
     assert_eq!(s.set_weight(id, 0), Some(100));
     assert_eq!(s.total_weight(), 0);
     s.validate();
     // Zero-weight items are never sampled.
     for _ in 0..50 {
-        assert!(s.query(&Ratio::one(), &Ratio::zero()).is_empty());
+        assert!(s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()).is_empty());
     }
     assert_eq!(s.set_weight(id, 7), Some(0));
     s.validate();
     // And they come back.
-    assert!(s.query(&Ratio::one(), &Ratio::zero()).contains(&id));
+    assert!(s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()).contains(&id));
 }
 
 #[test]
 fn stale_handle_rejected() {
-    let mut s = DpssSampler::new(4);
+    let mut s = DpssSampler::new();
     let id = s.insert(5);
     s.delete(id);
     assert_eq!(s.set_weight(id, 9), None);
@@ -62,7 +63,7 @@ fn stale_handle_rejected() {
 
 #[test]
 fn noop_reweight() {
-    let mut s = DpssSampler::new(5);
+    let mut s = DpssSampler::new();
     let id = s.insert(42);
     assert_eq!(s.set_weight(id, 42), Some(42));
     assert_eq!(s.total_weight(), 42);
@@ -73,15 +74,16 @@ fn noop_reweight() {
 fn marginals_correct_after_reweight() {
     // After re-weighting, inclusion probabilities must follow the *new*
     // weights exactly.
-    let mut s = DpssSampler::new(6);
+    let mut s = DpssSampler::new();
     let a = s.insert(1000);
     let b = s.insert(1000);
     let c = s.insert(2000);
     s.set_weight(a, 1).unwrap(); // now weights 1, 1000, 2000; W = 3001
+    let mut ctx = QueryCtx::new(6);
     let trials = 40_000u64;
     let mut hits = [0u64; 3];
     for _ in 0..trials {
-        for id in s.query(&Ratio::one(), &Ratio::zero()) {
+        for id in s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()) {
             if id == a {
                 hits[0] += 1;
             } else if id == b {
@@ -107,7 +109,7 @@ proptest! {
     ) {
         // Apply arbitrary reweights; the structure must validate and match a
         // fresh build of the final weights in shape and totals.
-        let (mut s, ids) = DpssSampler::from_weights(&weights, 9);
+        let (mut s, ids) = DpssSampler::from_weights(&weights);
         let mut current = weights.clone();
         for (nth, w) in updates {
             let i = nth % ids.len();
@@ -120,7 +122,7 @@ proptest! {
         for (i, id) in ids.iter().enumerate() {
             prop_assert_eq!(s.weight(*id), Some(current[i]));
         }
-        let (fresh, _) = DpssSampler::from_weights(&current, 10);
+        let (fresh, _) = DpssSampler::from_weights(&current);
         let st = s.stats();
         let fst = fresh.stats();
         prop_assert_eq!(st.levels[0].nonempty_buckets, fst.levels[0].nonempty_buckets);

@@ -259,9 +259,8 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
 /// be constructed from a bare `u64` seed, which is what the agreement tests
 /// and the benchmark harness rely on for reproducibility.
 ///
-/// Since the query-path RNG moved into [`QueryCtx`], the seed no longer
-/// drives trait-level query randomness (the *context's* seed does); concrete
-/// backends may still use it for legacy convenience-method streams.
+/// The seed never drives query randomness — the [`QueryCtx`]'s seed does —
+/// so a backend whose updates flip no coins ignores it.
 pub trait SeedableBackend: PssBackend + Sized {
     /// Creates an empty backend whose internal coin flips (if any) are
     /// driven by `seed`.

@@ -79,7 +79,7 @@ fn weight(rng: &mut SmallRng) -> u64 {
 fn steady_state_updates_do_not_allocate() {
     // ---- Amortized HALT sampler -------------------------------------------
     let mut rng = SmallRng::seed_from_u64(0xA110C);
-    let mut s = DpssSampler::new(7);
+    let mut s = DpssSampler::new();
     let mut ids: Vec<ItemId> = Vec::with_capacity(2 * N);
     // Overshoot to 2N then shrink back, so every bucket's high-water block
     // class comfortably exceeds anything the measured loop can reach.
@@ -157,7 +157,7 @@ fn steady_state_updates_do_not_allocate() {
 
     // ---- De-amortized HALT ------------------------------------------------
     let mut rng = SmallRng::seed_from_u64(0xA110D);
-    let mut d = DeamortizedDpss::new(9);
+    let mut d = DeamortizedDpss::new();
     let mut hs: Vec<u64> = Vec::with_capacity(2 * N);
     for _ in 0..2 * N {
         hs.push(d.insert(weight(&mut rng)));

@@ -51,7 +51,7 @@ fn allocs_for_bulk_load(n: usize) -> u64 {
     let weights: Vec<u64> =
         (0..n as u64).map(|i| (i.wrapping_mul(0x9E3779B9) % (1 << 28)) | 1).collect();
     let before = ALLOCS.load(Ordering::Relaxed);
-    let (s, ids) = DpssSampler::from_weights(&weights, 99);
+    let (s, ids) = DpssSampler::from_weights(&weights);
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(s.len(), n);
     drop((s, ids));

@@ -90,7 +90,7 @@ fn assert_same_samples(a: &DpssSampler, b: &DpssSampler, seed: u64) {
 
 /// Deterministic packed-layout case: a load wide enough to populate many
 /// weight classes across several level-1 groups, so the locality-packed
-/// derive (class-adjacent carve plan, write-combined fills) runs its full
+/// derive (class-adjacent carve plan, cursor fills) runs its full
 /// multi-group walk — then bit-identity against the per-op oracle, and
 /// against a snapshot round-trip (whose load re-derives the hierarchy
 /// through the same packed plan).
@@ -104,8 +104,8 @@ fn packed_layout_matches_per_op_and_snapshot_roundtrip() {
             _ => (i * 2654435761).wrapping_mul(i | 1) % (1u64 << (8 + i % 40)) + 1,
         })
         .collect();
-    let (a, ids_a) = DpssSampler::from_weights(&weights, 21);
-    let mut b = DpssSampler::with_capacity_seed(weights.len(), 21);
+    let (a, ids_a) = DpssSampler::from_weights(&weights);
+    let mut b = DpssSampler::with_capacity(weights.len());
     let ids_b = b.insert_many_per_op(&weights);
     assert_eq!(ids_a, ids_b, "packed bulk load must issue identical handles");
     assert_same_shape(&a, &b);
@@ -130,8 +130,8 @@ proptest! {
         first in proptest::collection::vec(weight(), 1..400),
         second in proptest::collection::vec(weight(), 200..1200),
     ) {
-        let (mut a, ids_a) = DpssSampler::from_weights(&first, 9);
-        let mut b = DpssSampler::with_capacity_seed(first.len(), 9);
+        let (mut a, ids_a) = DpssSampler::from_weights(&first);
+        let mut b = DpssSampler::with_capacity(first.len());
         let ids_b = b.insert_many_per_op(&first);
         prop_assert_eq!(&ids_a, &ids_b, "fresh load must issue identical handles");
         assert_same_shape(&a, &b);
@@ -172,8 +172,8 @@ proptest! {
         base in proptest::collection::vec(weight(), 64..400),
         batch_frac in 1usize..4,
     ) {
-        let mut x = DeamortizedDpss::new(17);
-        let mut y = DeamortizedDpss::new(17);
+        let mut x = DeamortizedDpss::new();
+        let mut y = DeamortizedDpss::new();
         let hx = x.insert_many(&base);
         let hy = y.insert_many(&base);
         prop_assert_eq!(&hx, &hy, "identical bulk loads must issue identical handles");
@@ -208,7 +208,7 @@ proptest! {
         surge in proptest::collection::vec(weight(), 500..1500),
     ) {
         let run = |seed: u64| {
-            let mut d = DeamortizedDpss::new(seed);
+            let mut d = DeamortizedDpss::new();
             let h0 = d.insert_many(&base);
             let h1 = d.insert_many(&surge);
             d.validate();

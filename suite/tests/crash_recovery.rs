@@ -68,7 +68,7 @@ fn mixed_tail(seed: u64, len: usize, live0: usize, with_set_weight: bool) -> Vec
         z = splitmix(z);
         let w = (z >> 33) | 1;
         let kinds = if with_set_weight { 3 } else { 2 };
-        if z % kinds == 0 || live <= live0 / 2 + 2 {
+        if z.is_multiple_of(kinds) || live <= live0 / 2 + 2 {
             ops.push(TailOp::Insert(w));
             live += 1;
         } else if z % kinds == 1 {
@@ -230,7 +230,7 @@ fn deamortized_recovers_at_update_sites() {
 fn poisoned_sampler_refuses_updates_until_recovered() {
     let _g = lock();
     fault::clear();
-    let mut s = DpssSampler::new(3);
+    let mut s = DpssSampler::new();
     let ids = DpssSampler::insert_many(&mut s, &[4, 8, 15, 16, 23, 42]);
     let snap = s.snapshot();
     fault::arm(Site::InsertCascade, Action::Panic);
@@ -255,7 +255,7 @@ fn poisoned_sampler_refuses_updates_until_recovered() {
 fn entry_faults_are_clean_typed_errors() {
     let _g = lock();
     fault::clear();
-    let mut s = DpssSampler::new(7);
+    let mut s = DpssSampler::new();
     let ids = DpssSampler::insert_many(&mut s, &[10, 20, 30]);
     for site in [Site::InsertEntry, Site::DeleteEntry, Site::SetWeightEntry, Site::BulkEntry] {
         fault::arm(site, Action::Error);
@@ -283,7 +283,7 @@ fn entry_faults_are_clean_typed_errors() {
 fn snapshot_encode_corruption_never_loads() {
     let _g = lock();
     fault::clear();
-    let mut s = DpssSampler::new(5);
+    let mut s = DpssSampler::new();
     DpssSampler::insert_many(
         &mut s,
         &(0..24u64).map(|i| splitmix(i) >> 40 | 1).collect::<Vec<_>>(),
@@ -315,7 +315,7 @@ fn snapshot_encode_corruption_never_loads() {
 fn snapshot_decode_fault_is_typed() {
     let _g = lock();
     fault::clear();
-    let mut s = DeamortizedDpss::new(5);
+    let mut s = DeamortizedDpss::new();
     DeamortizedDpss::insert_many(&mut s, &[3, 1, 4, 1, 5, 9, 2, 6]);
     let good = s.snapshot();
     fault::arm(Site::SnapshotDecode, Action::Error);
@@ -332,7 +332,7 @@ fn snapshot_decode_fault_is_typed() {
 fn recover_from_corrupt_snapshot_is_a_typed_snapshot_error() {
     let _g = lock();
     fault::clear();
-    let mut s = DpssSampler::new(4);
+    let mut s = DpssSampler::new();
     DpssSampler::insert_many(&mut s, &[7, 7, 7]);
     fault::arm(Site::SnapshotEncode, Action::FlipByte(1));
     let bad = s.snapshot();

@@ -23,7 +23,7 @@ fn halt_and_naive_exact_agree_distributionally() {
     let trials = 60_000u64;
 
     for (name, mut backend) in [
-        ("halt", Box::new(DpssSampler::new(5)) as Box<dyn PssBackend>),
+        ("halt", Box::new(DpssSampler::new()) as Box<dyn PssBackend>),
         ("naive", Box::new(NaiveExact::new(5)) as Box<dyn PssBackend>),
     ] {
         let mut ctx = QueryCtx::new(5);
@@ -45,7 +45,7 @@ fn halt_and_naive_exact_agree_distributionally() {
 /// A long mixed workload keeps every invariant and never loses an item.
 #[test]
 fn long_mixed_workload_end_to_end() {
-    let mut s = DpssSampler::new(11);
+    let mut s = DpssSampler::new();
     let mut ctx = QueryCtx::new(11);
     let mut rng = SmallRng::seed_from_u64(13);
     let mut live = Vec::new();
@@ -129,7 +129,7 @@ fn sorting_reduction_cross_validated() {
 fn determinism_across_the_stack() {
     let run = || {
         let weights: Vec<u64> = (1..=200).map(|i| i * 31).collect();
-        let (s, _) = DpssSampler::from_weights(&weights, 4242);
+        let (s, _) = DpssSampler::from_weights(&weights);
         let mut ctx = QueryCtx::new(4242);
         let mut out = Vec::new();
         for k in 1..6u64 {
@@ -149,7 +149,7 @@ fn determinism_across_the_stack() {
 #[test]
 fn weight_extremes_round_trip() {
     let weights = [0u64, 1, 2, 3, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1];
-    let (s, ids) = DpssSampler::from_weights(&weights, 31);
+    let (s, ids) = DpssSampler::from_weights(&weights);
     let mut ctx = QueryCtx::new(31);
     for (i, &w) in weights.iter().enumerate() {
         assert_eq!(s.weight(ids[i]), Some(w));

@@ -86,7 +86,7 @@ fn snapshot_is_stable_mid_migration() {
     // The de-amortized sampler mid-epoch: halves, rosters, and migration
     // counters must all be captured. Grow past the 3/2 trigger, then stop
     // partway through the incremental migration.
-    let mut s = DeamortizedDpss::new(9);
+    let mut s = DeamortizedDpss::new();
     for i in 0..40u64 {
         DeamortizedDpss::insert(&mut s, splitmix(i) >> 33 | 1);
     }
@@ -154,6 +154,18 @@ fn wrong_backend_kind_is_a_typed_error() {
     }
 }
 
+#[test]
+fn version_one_halt_image_is_refused() {
+    // Version 1 images carried the samplers' seeds, which format 2 dropped.
+    // The version sits right after the magic, outside every section CRC and
+    // the length trailer, so rewriting it leaves the image otherwise valid.
+    let mut img = seeded::<DpssSampler>(5, 64).snapshot();
+    let at = pss_core::MAGIC.len();
+    assert_eq!(img[at..at + 2], pss_core::FORMAT_VERSION.to_le_bytes());
+    img[at..at + 2].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(DpssSampler::from_snapshot(&img).err(), Some(SnapshotError::UnsupportedVersion(1)));
+}
+
 proptest! {
     /// Randomized double-check of the sweep on a larger image: any byte,
     /// any non-zero XOR mask, any truncation point — typed error, always.
@@ -175,7 +187,7 @@ proptest! {
 
 #[test]
 fn wrapped_ring_mid_recovery_forces_full_resync() {
-    let mut s = DpssSampler::new(9);
+    let mut s = DpssSampler::new();
     let ids = DpssSampler::insert_many(&mut s, &(1..=40u64).collect::<Vec<_>>());
     let snap = s.snapshot();
     let watermark = DpssSampler::journal(&s).epoch();
@@ -201,7 +213,7 @@ fn wrapped_ring_mid_recovery_forces_full_resync() {
 fn rebuild_after_snapshot_forces_full_resync() {
     // A structural rebuild raises the journal floor past the watermark:
     // group widths moved, so no delta replay can reproduce the hierarchy.
-    let mut s = DpssSampler::new(5);
+    let mut s = DpssSampler::new();
     DpssSampler::insert_many(&mut s, &(1..=48u64).collect::<Vec<_>>());
     let snap = s.snapshot();
     // n₀ = 48 after the bulk load; 60 more singles cross n > 2·n₀ = 96 and
@@ -219,7 +231,7 @@ fn rebuild_after_snapshot_forces_full_resync() {
 fn in_band_journal_tail_recovers_exactly() {
     // The positive control for the two tests above: a tail that stays inside
     // the ring band replays to the exact current state.
-    let mut s = DpssSampler::new(5);
+    let mut s = DpssSampler::new();
     let ids = DpssSampler::insert_many(&mut s, &(1..=48u64).collect::<Vec<_>>());
     let snap = s.snapshot();
     for k in 0..100u64 {
@@ -263,7 +275,7 @@ fn odss_style_falls_back_to_full_rebuild_on_wrap() {
 fn halt_plan_state_survives_a_wrapped_ring() {
     // `Replay::TooOld` consumer #2: the HALT per-context plan cache drops
     // its plans (full re-derivation) instead of patching across the gap.
-    let mut s = DpssSampler::new(2);
+    let mut s = DpssSampler::new();
     let ids = DpssSampler::insert_many(&mut s, &(1..=48u64).collect::<Vec<_>>());
     let alpha = Ratio::from_u64s(1, 2);
     let beta = Ratio::from_u64s(1, 1);

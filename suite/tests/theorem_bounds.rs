@@ -7,7 +7,7 @@
 #![allow(clippy::disallowed_types)]
 
 use bignum::Ratio;
-use dpss::{DpssSampler, SpaceUsage};
+use dpss::{DpssSampler, QueryCtx, SpaceUsage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -26,7 +26,7 @@ fn build_is_roughly_linear() {
         (0..3)
             .map(|_| {
                 let t = Instant::now();
-                std::hint::black_box(DpssSampler::from_weights(&w, 7));
+                std::hint::black_box(DpssSampler::from_weights(&w));
                 t.elapsed().as_secs_f64() / n as f64
             })
             .fold(f64::INFINITY, f64::min)
@@ -41,11 +41,12 @@ fn build_is_roughly_linear() {
 fn query_is_independent_of_n_at_fixed_mu() {
     let per_query = |n: usize| {
         let w = random_weights(n, 2);
-        let (mut s, _) = DpssSampler::from_weights(&w, 9);
+        let (s, _) = DpssSampler::from_weights(&w);
+        let mut ctx = QueryCtx::new(9);
         let alpha = Ratio::one();
         let t = Instant::now();
         for _ in 0..300 {
-            std::hint::black_box(s.query(&alpha, &Ratio::zero()));
+            std::hint::black_box(s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         }
         t.elapsed().as_secs_f64() / 300.0
     };
@@ -65,7 +66,7 @@ fn query_is_independent_of_n_at_fixed_mu() {
 fn updates_are_roughly_constant() {
     let per_update = |n: usize| {
         let w = random_weights(n, 3);
-        let (mut s, mut ids) = DpssSampler::from_weights(&w, 11);
+        let (mut s, mut ids) = DpssSampler::from_weights(&w);
         let mut rng = SmallRng::seed_from_u64(5);
         // best of 3 to dampen scheduler/cache noise from parallel tests
         (0..3)
@@ -91,7 +92,7 @@ fn updates_are_roughly_constant() {
 fn space_is_linear_with_small_constant() {
     for exp in [12u32, 14, 16] {
         let n = 1usize << exp;
-        let (s, _) = DpssSampler::from_weights(&random_weights(n, 4), 13);
+        let (s, _) = DpssSampler::from_weights(&random_weights(n, 4));
         let per = s.space_words() as f64 / n as f64;
         assert!(per < 40.0, "n=2^{exp}: {per:.1} words/item");
     }
@@ -118,16 +119,17 @@ fn beyond_l2_insert_and_query_stay_flat() {
         let ins = (0..3)
             .map(|_| {
                 let t = Instant::now();
-                std::hint::black_box(DpssSampler::from_weights(&w, 17));
+                std::hint::black_box(DpssSampler::from_weights(&w));
                 t.elapsed().as_secs_f64() / n as f64
             })
             .fold(f64::INFINITY, f64::min);
         // Query: μ≈1 cost on the built structure.
-        let (mut s, _) = DpssSampler::from_weights(&w, 17);
+        let (s, _) = DpssSampler::from_weights(&w);
+        let mut ctx = QueryCtx::new(17);
         let alpha = Ratio::one();
         let t = Instant::now();
         for _ in 0..300 {
-            std::hint::black_box(s.query(&alpha, &Ratio::zero()));
+            std::hint::black_box(s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         }
         (ins, t.elapsed().as_secs_f64() / 300.0)
     };
@@ -151,17 +153,18 @@ fn beyond_l2_insert_and_query_stay_flat() {
 fn query_cost_tracks_mu() {
     let n = 1usize << 16;
     let w = vec![1000u64; n];
-    let (mut s, _) = DpssSampler::from_weights(&w, 15);
+    let (s, _) = DpssSampler::from_weights(&w);
+    let mut ctx = QueryCtx::new(15);
     let beta = Ratio::zero();
-    let time_at = |s: &mut DpssSampler, alpha: &Ratio, reps: usize| {
+    let mut time_at = |alpha: &Ratio, reps: usize| {
         let t = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(s.query(alpha, &beta));
+            std::hint::black_box(s.query_in(&mut ctx, alpha, &beta));
         }
         t.elapsed().as_secs_f64() / reps as f64
     };
-    let t_mu1 = time_at(&mut s, &Ratio::one(), 300);
+    let t_mu1 = time_at(&Ratio::one(), 300);
     let alpha64 = Ratio::from_u64s(1, 64); // μ = 64
-    let t_mu64 = time_at(&mut s, &alpha64, 100);
+    let t_mu64 = time_at(&alpha64, 100);
     assert!(t_mu64 < t_mu1 * 40.0, "μ=64 at {t_mu64:.2e}s vs μ=1 at {t_mu1:.2e}s");
 }
